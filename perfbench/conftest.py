@@ -1,0 +1,11 @@
+"""Make maglab (from this checkout's ``src``) and the benchmark modules importable.
+
+    python3 -m pytest perfbench -q
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE))
