@@ -17,10 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -35,36 +32,8 @@ from .invariants import (
     invariants_analytic,
 )
 from .metric import load_point_file, magnitude
-from .radial import (
-    ball_magnitude,
-    rational_reconstruct,
-    shell_deviation_report,
-    shell_magnitude,
-)
+from .radial import ball_magnitude, shell_deviation_report, shell_magnitude
 from .roots import SearchRegion, ball_pole_zero_census, shell_pole_survey, write_roots_csv
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("MAGLAB_THREADS", "")
-    if raw.strip():
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ArgumentError(f"MAGLAB_THREADS must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise ArgumentError("MAGLAB_THREADS must be >= 1")
-        return cap
-    return min(8, os.cpu_count() or 1)
-
-
-def _pmap(func, items):
-    """Order-preserving parallel map over a grid, capped by MAGLAB_THREADS."""
-    items = list(items)
-    workers = min(_thread_cap(), max(1, len(items)))
-    if workers == 1:
-        return [func(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
 
 
 def _parse_r_grid(text: str) -> np.ndarray:
@@ -137,7 +106,7 @@ def _cmd_finite(args) -> None:
     out = _out_dir(args)
     space = load_point_file(args.points)
     grid = _parse_r_grid(args.r_grid) if args.r_grid else np.array([args.scale])
-    mags = _pmap(lambda R: magnitude(space, R), grid)
+    mags = [magnitude(space, R) for R in grid]
     emit_report(
         zip(grid, mags), ["R", "magnitude"], out / "finite.csv", args.format
     )
@@ -173,7 +142,7 @@ def _cmd_cloud(args) -> None:
 def _cmd_ball(args) -> None:
     out = _out_dir(args)
     grid = _parse_r_grid(args.r_grid)
-    vals = _pmap(lambda R: complex(ball_magnitude(args.n, R)).real, grid)
+    vals = [complex(ball_magnitude(args.n, R)).real for R in grid]
     emit_report(zip(grid, vals), ["R", "M"], out / "ball.csv", args.format)
     _write_sidecar(out, "ball", args)
 
@@ -181,7 +150,7 @@ def _cmd_ball(args) -> None:
 def _cmd_shell(args) -> None:
     out = _out_dir(args)
     grid = _parse_r_grid(args.r_grid)
-    vals = _pmap(lambda R: complex(shell_magnitude(args.inner, args.outer, R)).real, grid)
+    vals = [complex(shell_magnitude(args.inner, args.outer, R)).real for R in grid]
     emit_report(zip(grid, vals), ["R", "M"], out / "shell.csv", args.format)
     _write_sidecar(out, "shell", args)
 
@@ -250,7 +219,7 @@ def _cmd_compare(args) -> None:
     asym = asymptotic_polynomial(invariants_analytic(shape))
     conj = conjecture_polynomial(shape)
     grid = _parse_r_grid(args.r_grid)
-    exact = _pmap(lambda R: complex(ball_magnitude(args.n, R)).real, grid)
+    exact = [complex(ball_magnitude(args.n, R)).real for R in grid]
     rows = [
         (R, ex, asym(R), conj(R)) for R, ex in zip(grid, exact)
     ]
@@ -286,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--tol", type=float, default=1e-10, help="diagnostic tolerance")
 
     p = sub.add_parser("finite", help="magnitude sweep of a point-file metric space")
     p.add_argument("--points", required=True, help="whitespace-separated coordinate file")

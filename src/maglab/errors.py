@@ -41,7 +41,11 @@ class MeshError(MaglabError):
 
 
 class ReconstructionError(MaglabError):
-    """Rational least-squares fit did not reach the required residual."""
+    """The exact rational form of a ball magnitude failed a check.
+
+    Raised when N/D violates its degree bounds or misses an exact sample, or
+    when its zeros and poles cannot be verified by multiplying them back out.
+    """
 
 
 class PrecisionError(MaglabError):

@@ -308,15 +308,17 @@ def read_off(path_or_lines) -> SurfaceMesh:
     rows = [r for r in rows if r]
     if not rows or rows[0] != "OFF":
         raise MeshError("missing OFF header")
-    nv, nf, _ = (int(x) for x in rows[1].split())
-    verts = [tuple(float(x) for x in rows[2 + i].split()) for i in range(nv)]
-    faces = []
-    for i in range(nf):
-        parts = rows[2 + nv + i].split()
-        if int(parts[0]) != 3:
-            raise MeshError("only triangular faces are supported")
-        faces.append(tuple(int(x) for x in parts[1:4]))
-    return SurfaceMesh(verts, faces)
+    try:
+        nv, nf, _ = (int(x) for x in rows[1].split())
+        verts = [tuple(float(x) for x in rows[2 + i].split()) for i in range(nv)]
+        faces = [tuple(int(x) for x in rows[2 + nv + i].split()) for i in range(nf)]
+    except (IndexError, ValueError) as exc:
+        raise MeshError(f"malformed OFF counts or rows: {exc}") from exc
+    if any(len(v) != 3 for v in verts):
+        raise MeshError("OFF vertex rows must hold three coordinates")
+    if any(f[0] != 3 or len(f) < 4 for f in faces):
+        raise MeshError("only triangular faces '3 i j k' are supported")
+    return SurfaceMesh(verts, [f[1:4] for f in faces])
 
 
 def write_off(mesh: SurfaceMesh, path) -> None:

@@ -22,6 +22,8 @@ METRIC_TOL = 1e-12
 RESIDUAL_RTOL = 1e-10
 #: condition-number estimate above which a solve is declared singular
 CONDITION_LIMIT = 1e12
+#: bytes of each temporary in the blocked triangle-inequality check
+TRIANGLE_BLOCK_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,14 @@ class FiniteMetricSpace:
         if off.size and off.min() <= 0.0:
             raise ArgumentError("duplicate or negatively separated points (nonpositive off-diagonal)")
         if check_triangle and n >= 3:
-            # d(i,k) <= d(i,j) + d(j,k) for all j; vectorized over j
-            slack = dist[:, None, :] - (dist[:, :, None] + dist[None, :, :])
-            if slack.max() > METRIC_TOL:
-                raise ArgumentError("triangle inequality violated beyond tolerance")
+            # d(i,k) <= d(i,j) + d(j,k) for all j; vectorized over j and k,
+            # blocked over i so each temporary stays near TRIANGLE_BLOCK_BYTES
+            block = max(1, TRIANGLE_BLOCK_BYTES // (8 * n * n))
+            for i in range(0, n, block):
+                rows = dist[i : i + block]
+                slack = rows[:, None, :] - (rows[:, :, None] + dist[None, :, :])
+                if slack.max() > METRIC_TOL:
+                    raise ArgumentError("triangle inequality violated beyond tolerance")
         dist = dist.copy()
         dist.flags.writeable = False
         object.__setattr__(self, "points", tuple(points))
@@ -182,12 +188,27 @@ def load_point_file(path_or_lines):
         raise ArgumentError("empty point file")
     first = rows[0].split()
     if first and first[0].lower() == "matrix":
+        if len(first) != 2 or not first[1].isdigit() or int(first[1]) < 1:
+            raise ArgumentError(f"matrix header must read 'matrix N' with N >= 1, got {rows[0]!r}")
         n = int(first[1])
         if len(rows) - 1 < n:
             raise ArgumentError(f"matrix block promises {n} rows, found {len(rows) - 1}")
-        mat = np.array([[float(v) for v in r.replace(",", " ").split()] for r in rows[1 : n + 1]])
-        if mat.shape != (n, n):
+        mat = [_parse_row(r) for r in rows[1 : n + 1]]
+        if any(len(r) != n for r in mat):
             raise ArgumentError("matrix block has wrong shape")
         return FiniteMetricSpace(list(range(n)), mat)
-    coords = np.array([[float(v) for v in r.replace(",", " ").split()] for r in rows])
+    coords = [_parse_row(r) for r in rows]
+    if len({len(r) for r in coords}) != 1:
+        raise ArgumentError("point rows have differing numbers of coordinates")
     return FiniteMetricSpace.from_coordinates(coords)
+
+
+def _parse_row(text):
+    """Finite floats of one whitespace/comma separated point-file row."""
+    try:
+        values = [float(v) for v in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ArgumentError(f"non-numeric entry in point-file row {text!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ArgumentError(f"non-finite entry in point-file row {text!r}")
+    return values

@@ -8,14 +8,16 @@ so every value of the magnitude function, at any complex scale away from the
 resonances of the trace system, is computed in closed form.
 
 All arithmetic is generic over Python complex / mpmath, so the same code path
-supports double precision and the high-precision solves needed by the
-high-dimensional rational reconstructions.
+supports double precision and high-precision solves.  The ball magnitude is
+also available exactly, as a rational function of R with rational
+coefficients (``rational_reconstruct``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -316,28 +318,6 @@ def _horner(coeffs, R):
     return acc
 
 
-def _ball_magnitude_poly(n, R):
-    """Magnitude sample via the cached polynomial trace rows.
-
-    Agrees with ``_ball_magnitude_at`` identically (same system, with the
-    common e^{-R} stripped from both the matrix and the evaluated traces);
-    arithmetic-generic over complex / mpmath scalars.
-    """
-    system, boundary = _ball_trace_polys(n)
-    m = (n + 1) // 2
-    rows = [[_horner(p, R) for p in row] for row in system]
-    data = _magnitude_data(m, R)
-    if isinstance(R, (mp.mpf, mp.mpc)):
-        c = mp.lu_solve(mp.matrix(rows), mp.matrix(data))
-    else:
-        c = np.linalg.solve(np.array(rows, dtype=complex), np.array(data, dtype=complex))
-    total = 0 * R
-    for row, j in zip(boundary, range(m // 2 + 1, m + 1)):
-        tr = sum(_horner(p, R) * ck for p, ck in zip(row, c))
-        total = total + R ** (n - 2 * j) * tr
-    return R**n / math.factorial(n) + total * (n / math.factorial(n))
-
-
 def shell_magnitude(a: float, b: float, R, *, dps=None):
     """Magnitude function of the 3D spherical shell {a <= |x| <= b}.
 
@@ -405,13 +385,26 @@ def shell_deviation_report(Rs, a=1.0, b=2.0):
     return rows
 
 
-# -- rational reconstruction ----------------------------------------------
+
+
+# -- exact rational form of the ball magnitude ------------------------------
+#
+# At an integer scale R = k every entry of the cached trace system is an
+# integer, so one sample of M_{B_n} is an exact rational solve.  Cramer's rule
+# makes det S(R) and R n! det S(R) M(R) integer polynomials in R whose degrees
+# are bounded by the row degrees of the trace system, so that many integer
+# samples fix both by interpolation; their quotient, reduced by its gcd, is
+# M_{B_n} = N/D exactly.
+
+#: integer scales past the interpolation nodes at which N = M D is checked
+CHECK_SAMPLES = 3
 
 
 @dataclass(frozen=True)
 class RationalFunction:
     """num(R)/den(R) with ascending coefficient lists and monic denominator.
 
+    The coefficients are the exact rationals rounded to double precision.
     ``zeros``/``poles`` hold the root multisets; evaluation uses the stable
     product form C * prod(R - zero) / prod(R - pole).
     """
@@ -442,255 +435,203 @@ class RationalFunction:
         }
 
 
-def _verified_polyroots(coeffs_desc, base_dps, max_attempts=4):
-    """All roots of a polynomial with mpmath coefficients, verified.
+def _ball_sample_exact(n, k):
+    """(det S(k), M_{B_n}(k)) at the integer scale R = k, exactly.
+
+    Gaussian elimination over Fractions on the trace system; the product of
+    the pivots, signed by the row swaps, is the determinant.
+    """
+    system, boundary = _ball_trace_polys(n)
+    m = (n + 1) // 2
+    A = [
+        [Fraction(_horner(p, k)) for p in row] + [Fraction(d)]
+        for row, d in zip(system, _magnitude_data(m, k))
+    ]
+    det = Fraction(1)
+    for col in range(m):
+        piv = next((r for r in range(col, m) if A[r][col]), None)
+        if piv is None:
+            raise ReconstructionError(f"trace system singular at R={k} for n={n}")
+        if piv != col:
+            A[col], A[piv] = A[piv], A[col]
+            det = -det
+        det *= A[col][col]
+        for r in range(col + 1, m):
+            f = A[r][col] / A[col][col]
+            A[r][col:] = [a - f * b for a, b in zip(A[r][col:], A[col][col:])]
+    c = [Fraction(0)] * m
+    for i in reversed(range(m)):
+        c[i] = (A[i][m] - sum(A[i][j] * c[j] for j in range(i + 1, m))) / A[i][i]
+    total = Fraction(0)
+    for row, j in zip(boundary, range(m // 2 + 1, m + 1)):
+        total += Fraction(k) ** (n - 2 * j) * sum(_horner(p, k) * ck for p, ck in zip(row, c))
+    return det, (k**n + n * total) / math.factorial(n)
+
+
+def _interpolation_degree(n):
+    """Degree bound of R n! det S(R) M(R), read off the trace rows.
+
+    A determinant's degree is at most the sum of its row degrees, also after
+    Cramer's rule swaps the data column (degree <= i in row i) in.  The
+    boundary term multiplies that by R^{n+1-2j} times a boundary row.
+    """
+    system, boundary = _ball_trace_polys(n)
+    m = (n + 1) // 2
+    det_bound = sum(max([i] + [len(p) - 1 for p in row]) for i, row in enumerate(system))
+    boundary_bound = max(
+        n + 1 - 2 * j + max(len(p) - 1 for p in row)
+        for row, j in zip(boundary, range(m // 2 + 1, m + 1))
+    )
+    return det_bound + max(n + 1, boundary_bound)
+
+
+def _trim(poly):
+    while len(poly) > 1 and poly[-1] == 0:
+        poly = poly[:-1]
+    return poly
+
+
+def _interpolate(values):
+    """Ascending coefficients of the polynomial through (k, values[k-1]), k >= 1.
+
+    Newton form over the nodes 1, 2, ...: the divided differences are the
+    forward differences over j!, and the form is expanded by Horner's rule.
+    """
+    diffs, row = [], list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    poly = [Fraction(0)]
+    for j in reversed(range(len(diffs))):
+        # poly <- poly * (R - (j + 1)) + diffs[j] / j!
+        shifted = [Fraction(0)] + poly
+        for i, c in enumerate(poly):
+            shifted[i] -= (j + 1) * c
+        shifted[0] += Fraction(diffs[j], math.factorial(j))
+        poly = shifted
+    return _trim(poly)
+
+
+def _polydivmod(a, b):
+    """Quotient and remainder of ascending Fraction polynomials."""
+    a = list(a)
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    for s in reversed(range(len(a) - len(b) + 1)):
+        f = a[s + len(b) - 1] / b[-1]
+        q[s] = f
+        for i, c in enumerate(b):
+            a[s + i] -= f * c
+    return _trim(q), _trim(a[: len(b) - 1] or [Fraction(0)])
+
+
+def _polygcd(a, b):
+    """Monic gcd of two Fraction polynomials (Euclid's algorithm)."""
+    while any(b):
+        b = [c / b[-1] for c in b]
+        a, b = b, _polydivmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _exact_ball_rational(n):
+    """(N, D), ascending Fraction coefficients with D monic and N/D = M_{B_n}.
+
+    Raises ReconstructionError unless deg D <= (n-1)(n-3)/8, deg N = deg D + n
+    and N(k) = M(k) D(k) at CHECK_SAMPLES integer scales past the
+    interpolation nodes.
+    """
+    nodes = _interpolation_degree(n) + 1
+    samples = [_ball_sample_exact(n, k) for k in range(1, nodes + CHECK_SAMPLES + 1)]
+    fact = math.factorial(n)
+    den = _interpolate([k * fact * det for k, (det, _) in enumerate(samples[:nodes], 1)])
+    num = _interpolate([k * fact * det * M for k, (det, M) in enumerate(samples[:nodes], 1)])
+    common = _polygcd(num, den)
+    num, den = _polydivmod(num, common)[0], _polydivmod(den, common)[0]
+    num = [c / den[-1] for c in num]
+    den = [c / den[-1] for c in den]
+    d_den = (n - 1) * (n - 3) // 8
+    if len(den) - 1 > d_den or len(num) != len(den) + n:
+        raise ReconstructionError(
+            f"M_B{n} reduced to degrees {len(num) - 1}/{len(den) - 1}; expected "
+            f"deg D <= {d_den} and deg N = deg D + {n}"
+        )
+    for k, (_, M) in enumerate(samples[nodes:], nodes + 1):
+        if _horner(num, k) != M * _horner(den, k):
+            raise ReconstructionError(f"N/D misses M_B{n} at the check scale R={k}")
+    return num, den
+
+
+def _integer_coefficients(poly):
+    """Descending, content-free integer coefficients of a Fraction polynomial."""
+    scale = math.lcm(*(c.denominator for c in poly))
+    ints = [int(c * scale) for c in reversed(poly)]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _verified_polyroots(coeffs, max_attempts=4):
+    """All roots of an integer polynomial (descending coefficients), verified.
 
     Iterative root-finders can silently stagnate on clustered roots while
     reporting convergence, so the root multiset is only accepted once
-    multiplying it back out reproduces the input coefficients; otherwise the
-    computation is repeated at doubled precision.
+    multiplying it back out reproduces the input coefficients; otherwise, or
+    when the iteration does not converge, the computation is repeated at
+    doubled precision.  The starting precision grows with the coefficients'
+    size.
     """
-    deg = len(coeffs_desc) - 1
-    # drop leading coefficients that sit at the working-precision noise floor
-    # (a genuinely small lead, e.g. 1/n!, must survive this)
-    scale = max(abs(c) for c in coeffs_desc)
-    floor = mp.mpf(10) ** (-(base_dps // 2)) * scale
-    while len(coeffs_desc) > 1 and abs(coeffs_desc[0]) <= floor:
-        coeffs_desc = coeffs_desc[1:]
-        deg -= 1
+    deg = len(coeffs) - 1
     if deg <= 0:
         return []
-    work = 3 * base_dps
-    tol = mp.mpf(10) ** (-2 * base_dps)
+    # with about as many digits as the largest coefficient has, the iteration
+    # stalls on the clustered roots of the census polynomials; twice that
+    # converges
+    work = 2 * max(len(str(abs(c))) for c in coeffs) + 20
+    worst = mp.inf
     for _ in range(max_attempts):
         with mp.workdps(work):
-            roots = mp.polyroots(
-                [mp.mpf(c) for c in coeffs_desc], maxsteps=50 * deg + 500, extraprec=work
-            )
-            poly = [mp.mpf(1)]
-            for r in roots:
-                nxt = [mp.mpc(0)] * (len(poly) + 1)
-                for i, c in enumerate(poly):
-                    nxt[i + 1] += c
-                    nxt[i] -= c * r
-                poly = nxt
-            lead = coeffs_desc[0]
-            worst = mp.mpf(0)
-            for i, c in enumerate(coeffs_desc):
-                ref = max(mp.mpf(1), abs(c) / abs(lead))
-                worst = max(worst, abs(poly[deg - i] - c / lead) / ref)
-            if worst < tol:
-                return roots
+            try:
+                roots = mp.polyroots(coeffs, maxsteps=50 * deg + 500, extraprec=work)
+            except mp.mp.NoConvergence:
+                pass  # one failed attempt
+            else:
+                poly = [mp.mpf(1)]
+                for r in roots:
+                    nxt = [mp.mpc(0)] * (len(poly) + 1)
+                    for i, c in enumerate(poly):
+                        nxt[i + 1] += c
+                        nxt[i] -= c * r
+                    poly = nxt
+                lead = mp.mpf(coeffs[0])
+                worst = max(
+                    abs(poly[deg - i] - c / lead) / max(1, abs(c / lead))
+                    for i, c in enumerate(coeffs)
+                )
+                if worst < mp.mpf(10) ** (-(work // 2)):
+                    return roots
         work *= 2
     raise ReconstructionError(
         f"root verification stalled at {float(worst):.3e} for degree {deg}"
     )
 
 
-def _remove_common_roots(zeros, poles, tol=1e-8):
-    zeros = list(zeros)
-    kept_poles = []
-    for p in poles:
-        hit = None
-        for i, z in enumerate(zeros):
-            if abs(z - p) < tol * max(1.0, abs(p)):
-                hit = i
-                break
-        if hit is None:
-            kept_poles.append(p)
-        else:
-            zeros.pop(hit)
-    return zeros, kept_poles
+def rational_reconstruct(n: int) -> RationalFunction:
+    """Exact rational form N/D of the n-ball magnitude function, n odd >= 3.
 
-
-def _default_reconstruction_dps(n):
-    # fitted roots of the scaled denominator reach |z| ~ (|R_pole| + c)/rho,
-    # so the working precision has to grow with the degree bound
-    if n <= 9:
-        return 40
-    if n <= 13:
-        return 80
-    if n <= 17:
-        return 140
-    return 220
-
-
-def rational_reconstruct(
-    n: int,
-    sample_count: int | None = None,
-    *,
-    center: float | None = None,
-    contour_radius: float | None = None,
-    dps: int | None = None,
-    residual_tol: float = 1e-8,
-):
-    """Least-squares rational model of the n-ball magnitude function.
-
-    Samples on a circle in the right half-plane, fits num/den in the scaled
-    variable z = (R - center)/radius on roots of unity (a well-conditioned
-    basis), enforces the conjugation symmetry by keeping the fitted
-    coefficients real, and validates on held-out points.  Degree bounds:
-    deg(den) <= (n-1)(n-3)/8, deg(num) = deg(den) + n.
-
-    The normal equations are formed after row weighting (1/|M|) and column
-    equilibration and solved in mpmath at twice the working precision: the
-    distant denominator roots are invisible to a double-precision fit.
+    N and D are computed exactly over the rationals from integer samples of
+    the trace system: deg D <= (n-1)(n-3)/8, deg N = deg D + n, D monic.
+    Only the zeros and poles come from mpmath, by ``polyroots`` on the
+    integer coefficients with a multiply-back check.  Raises
+    ReconstructionError when a check fails.
     """
     if n < 3 or n % 2 == 0:
         raise ArgumentError("rational reconstruction needs odd n >= 3")
-    if center is None:
-        # poles spread out to |R| ~ O(n); a circle of comparable size keeps
-        # them near the image of the unit sampling circle, where polynomial
-        # root-finding in z is well conditioned
-        center = max(2.5, 2.0 * n)
-    if contour_radius is None:
-        contour_radius = center - 0.1
-    d_den = (n - 1) * (n - 3) // 8
-    d_num = d_den + n
-    unknowns = d_num + 1 + d_den  # den is monic in z
-    min_samples = 2 * d_den + n + 2
-    T = sample_count if sample_count is not None else max(unknowns + 34, min_samples, 64)
-    T += T % 2  # even count pairs each node with its conjugate
-    if T < min_samples:
-        raise ArgumentError(f"sample count {T} below minimum {min_samples}")
-    if dps is None:
-        dps = _default_reconstruction_dps(n)
-
-    with mp.workdps(dps):
-        zs = [mp.exp(2j * mp.pi * k / T) for k in range(T)]
-        half = T // 2
-        vals = [None] * T
-        for k in range(half + 1):
-            vals[k] = _ball_magnitude_poly(n, mp.mpc(center + contour_radius * zs[k]))
-        for k in range(half + 1, T):
-            # M(conj R) = conj M(R): the magnitude is real on the real axis
-            vals[k] = mp.conj(vals[T - k])
-
-        rows, rhs = [], []
-        for t in range(T):
-            w = 1 / abs(vals[t])
-            rows.append(
-                [zs[t] ** i * w for i in range(d_num + 1)]
-                + [-vals[t] * zs[t] ** i * w for i in range(d_den)]
-            )
-            rhs.append(vals[t] * zs[t] ** d_den * w)
-        norms = [mp.sqrt(sum(abs(rows[t][i]) ** 2 for t in range(T))) for i in range(unknowns)]
-        A = mp.matrix([[rows[t][i] / norms[i] for i in range(unknowns)] for t in range(T)])
-        bvec = mp.matrix(rhs)
-        with mp.extradps(dps):
-            gram = A.H * A
-            y = mp.lu_solve(gram, A.H * bvec)
-        x = [y[i] / norms[i] for i in range(unknowns)]
-        # conjugate-paired samples force real coefficients in the z-basis;
-        # what is left in the imaginary parts is round-off
-        a = [mp.re(x[i]) for i in range(d_num + 1)]
-        b = [mp.re(x[d_num + 1 + i]) for i in range(d_den)] + [mp.mpf(1)]
-
-        worst_fit = mp.mpf(0)
-        for t in range(0, T, 5):
-            ratio = mp.polyval(a[::-1], zs[t]) / mp.polyval(b[::-1], zs[t])
-            worst_fit = max(worst_fit, abs(ratio - vals[t]) / abs(vals[t]))
-        if worst_fit > residual_tol:
-            raise ReconstructionError(
-                f"on-sample relative residual {float(worst_fit):.3e} exceeds "
-                f"{residual_tol:.1e} for n={n}"
-            )
-
-    zero_z = _verified_polyroots(a[::-1], dps) if d_num > 0 else []
-    pole_z = _verified_polyroots(b[::-1], dps) if d_den > 0 else []
-    zeros = [center + contour_radius * complex(zk) for zk in zero_z]
-    poles = [center + contour_radius * complex(zk) for zk in pole_z]
-    zeros, poles = _remove_common_roots(zeros, poles)
-    if n <= 9:
-        # cheap double-precision Newton refinement against direct evaluations
-        f = lambda Rk: ball_magnitude(n, Rk)
-        g = lambda Rk: exterior_trace_determinant(n, Rk)
-        zeros = [_newton_polish(f, z) for z in zeros]
-        # magnitude poles sit among the zeros of the trace determinant, which
-        # is holomorphic there; Newton on 1/M would evaluate at a resonance
-        poles = [_newton_polish(g, p) for p in poles]
-    zeros = _conjugate_close(zeros)
-    poles = _conjugate_close(poles)
-    a = [float(c) for c in a]
-    b = [float(c) for c in b]
-
-    lead = (a[-1] / contour_radius**d_num) / (b[-1] / contour_radius**d_den)
-    num_coeffs = tuple(np.polynomial.polynomial.polyfromroots(zeros) * lead)
-    den_coeffs = tuple(np.polynomial.polynomial.polyfromroots(poles))
-    model = RationalFunction(
-        numerator=num_coeffs,
-        denominator=den_coeffs,
-        zeros=tuple(sorted(zeros, key=lambda c: (c.imag, c.real))),
-        poles=tuple(sorted(poles, key=lambda c: (c.imag, c.real))),
-        lead=complex(lead),
+    num, den = _exact_ball_rational(n)
+    order = lambda c: (c.imag, c.real)
+    zeros = sorted((complex(z) for z in _verified_polyroots(_integer_coefficients(num))), key=order)
+    poles = sorted((complex(p) for p in _verified_polyroots(_integer_coefficients(den))), key=order)
+    return RationalFunction(
+        numerator=tuple(float(c) for c in num),
+        denominator=tuple(float(c) for c in den),
+        zeros=tuple(zeros),
+        poles=tuple(poles),
+        lead=complex(num[-1]),
     )
-
-    # held-out validation on a fresh contour
-    H = 8
-    zh = np.exp(2j * np.pi * (np.arange(H) + 0.37) / H)
-    Rh = center + 1.25 * contour_radius * zh
-    worst = 0.0
-    for Rk in Rh:
-        exact = ball_magnitude(n, Rk, dps=dps)
-        rel = abs(model(Rk) - exact) / max(1e-30, abs(exact))
-        worst = max(worst, rel)
-    if worst > residual_tol:
-        raise ReconstructionError(
-            f"held-out relative residual {worst:.3e} exceeds {residual_tol:.1e} for n={n}"
-        )
-    return model
-
-
-def _newton_polish(f, z0, *, max_steps=25, max_drift=1e-2):
-    """Newton refinement with a finite-difference derivative.
-
-    Returns the refined root, or z0 unchanged if the iteration leaves the
-    neighbourhood of the initial guess (a sign the guess was spurious).
-    """
-    z = complex(z0)
-    scale = max(1.0, abs(z))
-    try:
-        for _ in range(max_steps):
-            h = 1e-7 * scale
-            fz = f(z)
-            dfz = (f(z + h) - f(z - h)) / (2 * h)
-            if dfz == 0:
-                break
-            step = fz / dfz
-            z = z - step
-            if abs(z - z0) > max_drift * scale:
-                return complex(z0)
-            if abs(step) < 1e-13 * scale:
-                break
-    except ResonanceError:
-        return complex(z0)
-    return z
-
-
-def _conjugate_close(roots, tol=1e-9):
-    """Snap a conjugation-symmetric root multiset to exact symmetry."""
-    roots = list(roots)
-    out = []
-    used = [False] * len(roots)
-    for i, z in enumerate(roots):
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(z.imag) <= tol * max(1.0, abs(z)):
-            out.append(complex(z.real, 0.0))
-            continue
-        best, bd = None, np.inf
-        for j in range(i + 1, len(roots)):
-            if used[j]:
-                continue
-            d = abs(np.conj(z) - roots[j])
-            if d < bd:
-                best, bd = j, d
-        if best is not None and bd <= 2e-6 * max(1.0, abs(z)):
-            used[best] = True
-            zz = (z + np.conj(roots[best])) / 2
-            out.append(complex(zz))
-            out.append(complex(np.conj(zz)))
-        else:
-            out.append(complex(z))
-    return out

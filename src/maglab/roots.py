@@ -341,16 +341,17 @@ def _certified_roots(f, roots, region: SearchRegion) -> tuple:
     return _sorted_roots(certified)
 
 
-def ball_pole_zero_census(n: int, region: SearchRegion | None = None, **kwargs):
+def ball_pole_zero_census(n: int, region: SearchRegion | None = None):
     """(poles, zeros) of the rational ball magnitude function M_{B_n}.
 
-    Roots come from the high-precision rational reconstruction; the census
+    Roots are those of the exact rational form N/D from
+    ``rational_reconstruct``, extracted by verified ``polyroots``; the census
     checks the structural bounds -- at most (n-1)(n-3)/8 poles and
     (n+3)(n+1)/8 zeros, conjugation symmetry, and every pole in the left
     half plane outside the sector |arg R| < pi/(n+1) -- and raises
     DiagnosticError on violation.
     """
-    rf = rational_reconstruct(n, **kwargs)
+    rf = rational_reconstruct(n)
     poles = [complex(p) for p in rf.poles]
     zeros = [complex(z) for z in rf.zeros]
     if region is None:

@@ -101,6 +101,9 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(tmp_path, "ball", "--r-grid", "nope") == 2
     assert run(tmp_path, "ball", "--r-grid", "1:2:0") == 2
     assert main(["no-such-command"]) == 2
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("0 0\n1 0 0\n")
+    assert run(tmp_path, "finite", "--points", str(ragged)) == 2
 
 
 def test_invalid_shape_is_usage_error(tmp_path):
@@ -110,10 +113,3 @@ def test_invalid_shape_is_usage_error(tmp_path):
 def test_computation_errors_exit_1(tmp_path):
     # resource cap exceeded mid-computation is a diagnostic, not a usage error
     assert run(tmp_path, "cloud", "--levels", "4", "--cap", "100") == 1
-
-
-def test_thread_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("MAGLAB_THREADS", "zero")
-    assert run(tmp_path, "ball", "--r-grid", "1:2:2") == 2
-    monkeypatch.setenv("MAGLAB_THREADS", "2")
-    assert run(tmp_path, "ball", "--r-grid", "1:2:2") == 0

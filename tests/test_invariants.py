@@ -151,6 +151,13 @@ def test_off_roundtrip(tmp_path):
 def test_read_off_validation():
     with pytest.raises(MeshError):
         read_off(["NOFF", "0 0 0"])
+    for lines in (
+        ["OFF", "4 4 0", "0 0 0", "1 0 0"],  # truncated vertex block
+        ["OFF", "4 x 0"],  # non-integer count
+        ["OFF", "3 1 0", "0 0 0", "1 0 0", "0 1 0", "3 0 1"],  # short face row
+    ):
+        with pytest.raises(MeshError):
+            read_off(lines)
 
 
 def test_fit_recovers_polynomial_coefficients():

@@ -5,6 +5,7 @@ import pytest
 
 from maglab.errors import ArgumentError
 from maglab.metric import (
+    TRIANGLE_BLOCK_BYTES,
     FiniteMetricSpace,
     is_positive_definite,
     load_point_file,
@@ -102,6 +103,14 @@ def test_validation_rejects_bad_matrices():
             [0, 1, 2],
             [[0.0, 1.0, 10.0], [1.0, 0.0, 1.0], [10.0, 1.0, 0.0]],
         )
+    # the triangle check runs in row blocks; put the one violation past the first
+    n = 200
+    block = max(1, TRIANGLE_BLOCK_BYTES // (8 * n * n))
+    assert block < n - 2
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    dist[n - 1, n - 3] = dist[n - 3, n - 1] = 10.0  # > d(n-1, n-2) + d(n-2, n-3)
+    with pytest.raises(ArgumentError, match="triangle inequality"):
+        FiniteMetricSpace(list(range(n)), dist)
 
 
 def test_scale_must_be_positive():
@@ -129,3 +138,12 @@ def test_load_point_file_matrix_block():
 def test_load_point_file_empty_is_error():
     with pytest.raises(ArgumentError):
         load_point_file(["# nothing"])
+    for lines, message in (
+        (["0 0", "1 0 0"], "differing numbers of coordinates"),
+        (["matrix"], "matrix header"),
+        (["matrix 2", "0 1", "1"], "wrong shape"),
+        (["0 0", "1 x"], "non-numeric"),
+        (["0 0", "1 nan"], "non-finite"),
+    ):
+        with pytest.raises(ArgumentError, match=message):
+            load_point_file(lines)

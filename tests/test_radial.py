@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from maglab.errors import ArgumentError
+from maglab import radial
+from maglab.errors import ArgumentError, ReconstructionError
 from maglab.radial import (
     ball_magnitude,
     exterior_trace_determinant,
@@ -170,3 +172,34 @@ def test_rational_reconstruct_argument_validation():
         rational_reconstruct(4)
     with pytest.raises(ArgumentError):
         rational_reconstruct(2)
+
+
+def test_exact_b5_coefficients():
+    # (R^6+18R^5+135R^4+525R^3+1080R^2+1080R+360) / (120 (R+3)), D monic
+    num, den = radial._exact_ball_rational(5)
+    assert num == [Fraction(c, 120) for c in (360, 1080, 1080, 525, 135, 18, 1)]
+    assert den == [3, 1]
+
+
+def test_exact_denominator_degree_meets_census_bound():
+    for n in (3, 5, 7, 9, 11, 13):
+        num, den = radial._exact_ball_rational(n)
+        assert len(den) - 1 == (n - 1) * (n - 3) // 8
+        assert len(num) - 1 == len(den) - 1 + n
+
+
+def test_exact_model_matches_high_precision_trace_solve():
+    for n in (9, 11, 13):
+        model = rational_reconstruct(n)
+        for R in (0.7 + 0.4j, 3.0 - 2.0j, 1.5 + 6.0j, 12.0):
+            exact = complex(ball_magnitude(n, R, dps=50))
+            assert abs(complex(model(R)) - exact) <= 1e-12 * abs(exact)
+
+
+def test_exact_reconstruction_raises_on_short_interpolation(monkeypatch):
+    # too few interpolation nodes give a wrong N/D, which the degree bounds
+    # or the check samples must catch
+    degree = radial._interpolation_degree
+    monkeypatch.setattr(radial, "_interpolation_degree", lambda n: degree(n) - 20)
+    with pytest.raises(ReconstructionError):
+        rational_reconstruct(9)
