@@ -116,9 +116,7 @@ def _cmd_finite(args) -> None:
 def _make_shape(args) -> DomainShape:
     if args.shape == "ball":
         return DomainShape.ball(args.n, args.radius)
-    if args.shape == "shell":
-        return DomainShape.shell(args.inner, args.outer, args.n)
-    raise ArgumentError(f"unsupported shape {args.shape!r}")
+    return DomainShape.shell(args.inner, args.outer, args.n)
 
 
 def _cmd_cloud(args) -> None:
@@ -192,24 +190,21 @@ def _cmd_asymptote(args) -> None:
 def _cmd_poles(args) -> None:
     out = _out_dir(args)
     region = _parse_rect(args.rect) if args.rect else None
-    if args.model == "ball":
-        poles, zeros = ball_pole_zero_census(args.n, region)
-        roots = poles.roots + zeros.roots
-        merged = type(poles)(
-            tuple(sorted(roots, key=lambda r: (r.location.imag, r.location.real))),
-            poles.region,
-            poles.function_id,
-        )
-        write_roots_csv(merged, out / "poles.csv")
-    elif args.model == "shell":
+    if args.model == "shell":
         survey = shell_pole_survey(args.ymax)
         write_roots_csv(survey.roots, out / "poles.csv")
         _write_sidecar(
             out, "poles", args, {"slope": survey.slope, "intercept": survey.intercept}
         )
         return
-    else:
-        raise ArgumentError(f"unknown model {args.model!r}")
+    poles, zeros = ball_pole_zero_census(args.n, region)
+    roots = poles.roots + zeros.roots
+    merged = type(poles)(
+        tuple(sorted(roots, key=lambda r: (r.location.imag, r.location.real))),
+        poles.region,
+        poles.function_id,
+    )
+    write_roots_csv(merged, out / "poles.csv")
     _write_sidecar(out, "poles", args)
 
 

@@ -68,6 +68,8 @@ class DomainShape:
     def from_point_file(cls, path):
         space = load_point_file(path)
         coords = np.asarray([p for p in space.points], dtype=float)
+        if coords.ndim != 2:
+            raise ArgumentError("a domain point file must list coordinates, not a distance matrix")
         return cls("points", (coords.shape[1],), tuple(map(tuple, coords)))
 
     @property

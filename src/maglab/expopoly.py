@@ -15,7 +15,6 @@ unchanged.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import mpmath as mp

@@ -31,36 +31,39 @@ class FiniteMetricSpace:
     """Point labels plus an N x N distance matrix.
 
     ``points`` may carry coordinates (arrays) or any hashable labels; only the
-    distance matrix enters the computations.  Validation checks symmetry, a
-    zero diagonal, strictly positive off-diagonal entries and (optionally) the
-    triangle inequality.
+    distance matrix enters the computations.  A matrix from outside is copied
+    and checked: finite, symmetric, zero diagonal, positive off the diagonal,
+    triangle inequality.  ``from_coordinates`` and ``rescaled`` check only what
+    construction cannot guarantee and pass a fresh metric with ``_trusted``.
     """
 
     points: tuple
     dist: np.ndarray = field(repr=False)
 
-    def __init__(self, points, dist, *, check_triangle=True):
-        dist = np.asarray(dist, dtype=float)
-        n = len(points)
-        if dist.shape != (n, n):
-            raise ArgumentError(f"distance matrix shape {dist.shape} does not match {n} points")
-        if not np.allclose(dist, dist.T, atol=METRIC_TOL, rtol=0.0):
-            raise ArgumentError("distance matrix is not symmetric")
-        if np.any(np.abs(np.diag(dist)) > METRIC_TOL):
-            raise ArgumentError("distance matrix has a nonzero diagonal")
-        off = dist[~np.eye(n, dtype=bool)]
-        if off.size and off.min() <= 0.0:
-            raise ArgumentError("duplicate or negatively separated points (nonpositive off-diagonal)")
-        if check_triangle and n >= 3:
-            # d(i,k) <= d(i,j) + d(j,k) for all j; vectorized over j and k,
-            # blocked over i so each temporary stays near TRIANGLE_BLOCK_BYTES
-            block = max(1, TRIANGLE_BLOCK_BYTES // (8 * n * n))
-            for i in range(0, n, block):
-                rows = dist[i : i + block]
-                slack = rows[:, None, :] - (rows[:, :, None] + dist[None, :, :])
-                if slack.max() > METRIC_TOL:
-                    raise ArgumentError("triangle inequality violated beyond tolerance")
-        dist = dist.copy()
+    def __init__(self, points, dist, *, _trusted=False):
+        if not _trusted:
+            dist = np.array(dist, dtype=float)
+            n = len(points)
+            if dist.shape != (n, n):
+                raise ArgumentError(f"distance matrix shape {dist.shape} does not match {n} points")
+            if not np.isfinite(dist).all():
+                raise ArgumentError("distance matrix has non-finite entries")
+            if not np.allclose(dist, dist.T, atol=METRIC_TOL, rtol=0.0):
+                raise ArgumentError("distance matrix is not symmetric")
+            if np.any(np.abs(np.diag(dist)) > METRIC_TOL):
+                raise ArgumentError("distance matrix has a nonzero diagonal")
+            off = dist[~np.eye(n, dtype=bool)]
+            if off.size and off.min() <= 0.0:
+                raise ArgumentError("duplicate or negatively separated points (nonpositive off-diagonal)")
+            if n >= 3:
+                # d(i,k) <= d(i,j) + d(j,k) for all j; vectorized over j and k,
+                # blocked over i so each temporary stays near TRIANGLE_BLOCK_BYTES
+                block = max(1, TRIANGLE_BLOCK_BYTES // (8 * n * n))
+                for i in range(0, n, block):
+                    rows = dist[i : i + block]
+                    slack = rows[:, None, :] - (rows[:, :, None] + dist[None, :, :])
+                    if slack.max() > METRIC_TOL:
+                        raise ArgumentError("triangle inequality violated beyond tolerance")
         dist.flags.writeable = False
         object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "dist", dist)
@@ -70,18 +73,26 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_coordinates(cls, coords, *, labels=None):
-        """Euclidean space on the rows of ``coords`` (shape (N, n))."""
+        """Euclidean space on the rows of ``coords`` (N, n), a metric by construction."""
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        dist = distance.squareform(distance.pdist(coords))
+        if not np.isfinite(coords).all():
+            raise ArgumentError("coordinates have non-finite entries")
         pts = labels if labels is not None else [tuple(row) for row in coords]
-        # Euclidean distances satisfy the triangle inequality by construction
-        return cls(pts, dist, check_triangle=False)
+        if len(pts) != len(coords):
+            raise ArgumentError(f"{len(pts)} labels for {len(coords)} points")
+        condensed = distance.pdist(coords)
+        if condensed.size and condensed.min() <= 0.0:
+            raise ArgumentError("duplicate points (zero distance)")
+        return cls(pts, distance.squareform(condensed), _trusted=True)
 
     def rescaled(self, factor):
         """Same space with all distances multiplied by ``factor`` > 0."""
-        if factor <= 0:
-            raise ArgumentError("rescale factor must be positive")
-        return FiniteMetricSpace(self.points, self.dist * factor, check_triangle=False)
+        if not (np.isfinite(factor) and factor > 0):
+            raise ArgumentError(f"rescale factor must be finite and positive, got {factor!r}")
+        scaled = self.dist * factor
+        if np.count_nonzero(scaled) < len(self) * (len(self) - 1):  # only the diagonal may be 0
+            raise ArgumentError(f"rescale factor {factor!r} underflows a distance to zero")
+        return type(self)(self.points, scaled, _trusted=True)
 
 
 @dataclass(frozen=True)
@@ -204,11 +215,8 @@ def load_point_file(path_or_lines):
 
 
 def _parse_row(text):
-    """Finite floats of one whitespace/comma separated point-file row."""
+    """Floats of one whitespace/comma separated point-file row."""
     try:
-        values = [float(v) for v in text.replace(",", " ").split()]
+        return [float(v) for v in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ArgumentError(f"non-numeric entry in point-file row {text!r}") from exc
-    if not np.all(np.isfinite(values)):
-        raise ArgumentError(f"non-finite entry in point-file row {text!r}")
-    return values

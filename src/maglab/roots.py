@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, DiagnosticError, PrecisionError
-from .radial import RationalFunction, rational_reconstruct
+from .radial import rational_reconstruct
 
 #: default contour quadrature points per rectangle side
 DEFAULT_CONTOUR_POINTS = 256

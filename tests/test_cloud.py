@@ -131,3 +131,6 @@ def test_point_file_shape(tmp_path):
     assert len(space) == 3
     with pytest.raises(ArgumentError):
         shape.contains(np.zeros((1, 2)))
+    path.write_text("matrix 2\n0 1\n1 0\n")
+    with pytest.raises(ArgumentError, match="distance matrix"):
+        DomainShape.from_point_file(str(path))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,19 +124,77 @@ def test_cube_mesh_invariants():
     assert inv.total_mean_curvature == pytest.approx(6 * math.pi, rel=1e-12)
 
 
+def _loop_total_mean_curvature(mesh):
+    """Reference: pair the directed edges by a dict and sum edge by edge."""
+    v = mesh.vertices
+    cross = np.cross(v[mesh.triangles[:, 1]] - v[mesh.triangles[:, 0]],
+                     v[mesh.triangles[:, 2]] - v[mesh.triangles[:, 0]])
+    normals = cross / np.linalg.norm(cross, axis=1)[:, None]
+    owner = {}
+    for f, (a, b, c) in enumerate(mesh.triangles.tolist()):
+        owner.update({(a, b): f, (b, c): f, (c, a): f})
+    total = 0.0
+    for (i, j), f in owner.items():
+        if i < j:
+            g = owner[(j, i)]
+            edge = v[j] - v[i]
+            length = np.linalg.norm(edge)
+            theta = math.atan2(np.dot(np.cross(normals[f], normals[g]), edge / length),
+                               np.dot(normals[f], normals[g]))
+            total += 0.5 * length * theta
+    return total
+
+
+def test_mesh_edge_table_matches_loop_reference():
+    from maglab.invariants import SurfaceMesh
+
+    # a non-convex mesh: icosphere vertices moved radially at random
+    base = icosphere(2)
+    radii = 1 + 0.3 * np.random.default_rng(2).random(len(base.vertices))
+    bumpy = SurfaceMesh(base.vertices * radii[:, None], base.triangles)
+    for mesh in (icosphere(3), bumpy):
+        tails, heads = mesh.triangles.ravel(), mesh.triangles[:, [1, 2, 0]].ravel()
+        assert np.array_equal(tails[mesh.twin], heads) and np.array_equal(heads[mesh.twin], tails)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            total_h = invariants_from_mesh(mesh).total_mean_curvature
+        assert total_h == pytest.approx(_loop_total_mean_curvature(mesh), rel=1e-12)
+
+
+def test_mesh_owns_frozen_arrays():
+    from maglab.invariants import SurfaceMesh
+
+    base = icosphere(1)
+    vertices, triangles = base.vertices.copy(), base.triangles.copy()
+    mesh = SurfaceMesh(vertices, triangles)
+    before = invariants_from_mesh(mesh)
+    vertices *= 2.0
+    triangles[0] = triangles[0, ::-1]
+    assert invariants_from_mesh(mesh) == before
+    for a in (mesh.vertices, mesh.triangles, mesh.twin, mesh.cross):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
 def test_inward_mesh_rejected():
     mesh = cube_mesh(1.0)
     flipped = mesh.triangles[:, ::-1]
     from maglab.invariants import SurfaceMesh
 
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="inward"):
         SurfaceMesh(mesh.vertices, flipped)
+    # one flipped face repeats the directed edges of its neighbours
+    one_flipped = mesh.triangles.copy()
+    one_flipped[0] = one_flipped[0, ::-1]
+    with pytest.raises(MeshError, match=r"directed edge \(\d+, \d+\) repeated"):
+        SurfaceMesh(mesh.vertices, one_flipped)
 
 
 def test_open_mesh_rejected():
     from maglab.invariants import SurfaceMesh
 
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match=r"edge \(\d+, \d+\) has no partner"):
         SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
 
 
@@ -158,6 +217,13 @@ def test_read_off_validation():
     ):
         with pytest.raises(MeshError):
             read_off(lines)
+    # a tetrahedron with one nan vertex
+    tetra = ["OFF", "4 4 0", "0 0 0", "1 0 0", "0 1 0", "0 0 nan"]
+    tetra += ["3 0 2 1", "3 0 1 3", "3 1 2 3", "3 0 3 2"]
+    with pytest.raises(MeshError, match="finite"):
+        read_off(tetra)
+    tetra[5] = "0 0 1"
+    assert read_off(tetra).volume == pytest.approx(1 / 6)
 
 
 def test_fit_recovers_polynomial_coefficients():

@@ -111,6 +111,35 @@ def test_validation_rejects_bad_matrices():
     dist[n - 1, n - 3] = dist[n - 3, n - 1] = 10.0  # > d(n-1, n-2) + d(n-2, n-3)
     with pytest.raises(ArgumentError, match="triangle inequality"):
         FiniteMetricSpace(list(range(n)), dist)
+    # non-finite input is named as such, wherever it enters
+    for build, message in (
+        (lambda: FiniteMetricSpace([0, 1], [[0.0, np.nan], [np.nan, 0.0]]), "non-finite"),
+        (lambda: FiniteMetricSpace([0, 1], [[0.0, np.inf], [np.inf, 0.0]]), "non-finite"),
+        (lambda: FiniteMetricSpace.from_coordinates([[0.0, 0.0], [1.0, np.nan]]), "non-finite"),
+        (lambda: FiniteMetricSpace.from_coordinates([[np.inf, 0.0]]), "non-finite"),
+        (lambda: FiniteMetricSpace.from_coordinates([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]]), "duplicate"),
+        (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]], labels=["a"]), "labels"),
+        (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]]).rescaled(np.nan), "finite and positive"),
+        (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]]).rescaled(np.inf), "finite and positive"),
+        (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]]).rescaled(0.0), "finite and positive"),
+        (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1e-5]]).rescaled(1e-320), "underflows"),
+    ):
+        with pytest.raises(ArgumentError, match=message):
+            build()
+
+
+def test_spaces_are_frozen_and_own_their_matrix():
+    dist = np.array([[0.0, 2.0], [2.0, 0.0]])
+    outside = FiniteMetricSpace([0, 1], dist)
+    dist[0, 1] = 5.0
+    assert outside.dist[0, 1] == 2.0
+    coords = FiniteMetricSpace.from_coordinates([[0.0, 0.0], [3.0, 4.0]])
+    scaled = coords.rescaled(0.5)
+    assert scaled.points == coords.points and scaled.dist[0, 1] == 2.5
+    for space in (outside, coords, scaled):
+        assert not space.dist.flags.writeable
+        with pytest.raises(ValueError):
+            space.dist[0, 1] = 1.0
 
 
 def test_scale_must_be_positive():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from maglab.errors import ArgumentError, PrecisionError
-from maglab.radial import rational_reconstruct
 from maglab.roots import (
     SearchRegion,
     ball_pole_zero_census,
