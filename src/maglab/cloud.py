@@ -9,15 +9,17 @@ and ``extrapolate`` fits a Richardson-style model to accelerate it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from math import factorial
 
 import numpy as np
 
 from .errors import ArgumentError, DiagnosticError, ResourceError
-from .metric import FiniteMetricSpace, load_point_file, magnitude
+from .metric import FiniteMetricSpace, magnitude, read_point_rows
 
-#: default cap on lattice point counts (dense O(N^3) solves)
+#: default cap on lattice point counts; it bounds the N x N distance matrix
+#: (8 N^2 bytes), lattice weightings being solved on orbits
 DEFAULT_POINT_CAP = 20000
 
 #: slack allowed when asserting monotone refinement
@@ -66,10 +68,14 @@ class DomainShape:
 
     @classmethod
     def from_point_file(cls, path):
-        space = load_point_file(path)
-        coords = np.asarray([p for p in space.points], dtype=float)
-        if coords.ndim != 2:
+        """Explicit point set read from a coordinate file.
+
+        Non-finite and duplicate points are rejected when the set is sampled.
+        """
+        n, rows = read_point_rows(path)
+        if n is not None:
             raise ArgumentError("a domain point file must list coordinates, not a distance matrix")
+        coords = np.asarray(rows, dtype=float)
         return cls("points", (coords.shape[1],), tuple(map(tuple, coords)))
 
     @property
@@ -116,6 +122,11 @@ def sample_domain(
     Lattice sites are integer multiples of ``spacing``, so the lattice at
     spacing h/2 contains the lattice at spacing h exactly (bit-identical
     coordinates), which makes the refinement sequence genuinely nested.
+
+    Balls, shells and boxes are symmetric under sign flips of the coordinates,
+    and all but boxes with unequal sides under their permutations too.  The
+    sample carries that orbit labelling when every orbit is complete, so its
+    weighting is solved on orbits.
     """
     if spacing <= 0:
         raise ArgumentError("spacing must be positive")
@@ -131,15 +142,43 @@ def sample_domain(
         raise ResourceError(
             f"bounding lattice of {(2 * kmax + 1) ** n} sites is far above the cap {cap}"
         )
-    axes = np.arange(-kmax, kmax + 1) * spacing
-    grid = np.array(list(product(axes, repeat=n)))
+    # integer indices in itertools.product order (last axis fastest)
+    ks = np.arange(-kmax, kmax + 1)
+    index = np.stack(np.meshgrid(*[ks] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    grid = index * spacing
     inside = shape.contains(grid)
-    coords = grid[inside]
+    coords, index = grid[inside], index[inside]
     if len(coords) == 0:
         raise ArgumentError(f"spacing {spacing} yields no lattice point inside the domain")
     if len(coords) > cap:
         raise ResourceError(f"{len(coords)} points exceed the cap of {cap}")
-    return FiniteMetricSpace.from_coordinates(coords)
+    permute = shape.kind != "box" or len(set(shape.params)) == 1
+    return FiniteMetricSpace.from_coordinates(coords, orbits=_lattice_orbits(index, permute))
+
+
+def _lattice_orbits(index, permute):
+    """Orbit labels of lattice indices under sign flips (and permutations).
+
+    The key of an index is its absolute values, sorted when coordinates may
+    be permuted.  The labelling is returned only when every orbit holds its
+    full group size, 2^(nonzeros) times n!/prod(multiplicities!) with
+    permutations; a float membership test may break the symmetry at the
+    boundary, and the sample then gets None.
+    """
+    keys = np.abs(index)
+    if permute:
+        keys = np.sort(keys, axis=1)
+    uniq, orbits, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    n = index.shape[1]
+    for key, count in zip(uniq.tolist(), counts.tolist()):
+        size = 2 ** sum(1 for k in key if k)
+        if permute:
+            size *= factorial(n)
+            for m in Counter(key).values():
+                size //= factorial(m)
+        if count != size:
+            return None
+    return orbits.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -168,8 +207,8 @@ def refinement_sequence(
     The samples are nested, so the magnitudes are nondecreasing and converge
     to the magnitude of the compact domain from below.
     """
-    if levels < 2:
-        raise ArgumentError("refinement needs at least 2 levels")
+    if levels < 3:
+        raise ArgumentError("refinement needs at least 3 levels (Richardson uses the last three)")
     if scale <= 0:
         raise ArgumentError("scale must be positive")
     if base_spacing is None:

@@ -302,15 +302,22 @@ def read_off(path_or_lines) -> SurfaceMesh:
         raise MeshError("missing OFF header")
     try:
         nv, nf, _ = (int(x) for x in rows[1].split())
-        verts = [tuple(float(x) for x in rows[2 + i].split()) for i in range(nv)]
-        faces = [tuple(int(x) for x in rows[2 + nv + i].split()) for i in range(nf)]
     except (IndexError, ValueError) as exc:
-        raise MeshError(f"malformed OFF counts or rows: {exc}") from exc
-    if any(len(v) != 3 for v in verts):
+        raise MeshError(f"malformed OFF counts: {exc}") from exc
+    if nv < 1 or nf < 1:
+        raise MeshError(f"OFF counts must be positive, got {nv} vertices and {nf} faces")
+    if len(rows) < 2 + nv + nf:
+        raise MeshError(f"OFF file promises {nv} vertices and {nf} faces but has {len(rows) - 2} rows")
+    try:
+        verts = np.loadtxt(rows[2 : 2 + nv], ndmin=2)
+        faces = np.loadtxt(rows[2 + nv : 2 + nv + nf], dtype=int, ndmin=2)
+    except ValueError as exc:
+        raise MeshError(f"malformed OFF rows: {exc}") from exc
+    if verts.shape[1] != 3:
         raise MeshError("OFF vertex rows must hold three coordinates")
-    if any(f[0] != 3 or len(f) < 4 for f in faces):
+    if faces.shape[1] < 4 or (faces[:, 0] != 3).any():
         raise MeshError("only triangular faces '3 i j k' are supported")
-    return SurfaceMesh(verts, [f[1:4] for f in faces])
+    return SurfaceMesh(verts, faces[:, 1:4])
 
 
 def write_off(mesh: SurfaceMesh, path) -> None:

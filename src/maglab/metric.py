@@ -4,6 +4,11 @@ A finite metric space is held as a symmetric distance matrix.  At scale R the
 similarity matrix is Z = exp(-R * dist); a weighting is a solution of
 Z w = 1 and the magnitude is sum(w).  Scale enters only through the exponent,
 which is the same as rescaling all distances by R.
+
+Z is positive definite on Euclidean spaces, so the weighting is unique and
+hence constant on the orbits of any isometry group that maps the space onto
+itself.  A space that carries such an orbit labelling is solved with one
+unknown per orbit (see ``weighting``).
 """
 
 from __future__ import annotations
@@ -35,12 +40,17 @@ class FiniteMetricSpace:
     and checked: finite, symmetric, zero diagonal, positive off the diagonal,
     triangle inequality.  ``from_coordinates`` and ``rescaled`` check only what
     construction cannot guarantee and pass a fresh metric with ``_trusted``.
+
+    ``orbits`` is None or a read-only integer array labelling each point with
+    its orbit 0..K-1 under an isometry group of the space (see
+    ``from_coordinates``).
     """
 
     points: tuple
     dist: np.ndarray = field(repr=False)
+    orbits: np.ndarray | None = field(default=None, repr=False)
 
-    def __init__(self, points, dist, *, _trusted=False):
+    def __init__(self, points, dist, *, _trusted=False, _orbits=None):
         if not _trusted:
             dist = np.array(dist, dtype=float)
             n = len(points)
@@ -65,25 +75,38 @@ class FiniteMetricSpace:
                     if slack.max() > METRIC_TOL:
                         raise ArgumentError("triangle inequality violated beyond tolerance")
         dist.flags.writeable = False
+        if _orbits is not None:
+            _orbits.flags.writeable = False
         object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "orbits", _orbits)
 
     def __len__(self):
         return len(self.points)
 
     @classmethod
-    def from_coordinates(cls, coords, *, labels=None):
-        """Euclidean space on the rows of ``coords`` (N, n), a metric by construction."""
+    def from_coordinates(cls, coords, *, labels=None, orbits=None):
+        """Euclidean space on the rows of ``coords`` (N, n), a metric by construction.
+
+        ``orbits``, if given, labels row i with its orbit 0..K-1 under a group of
+        isometries that maps the rows onto themselves; every label must occur.
+        Only its form is checked here: the caller vouches for the symmetry,
+        as ``cloud.sample_domain`` does for its lattices.
+        """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         if not np.isfinite(coords).all():
             raise ArgumentError("coordinates have non-finite entries")
         pts = labels if labels is not None else [tuple(row) for row in coords]
         if len(pts) != len(coords):
             raise ArgumentError(f"{len(pts)} labels for {len(coords)} points")
+        if orbits is not None:
+            orbits = np.array(orbits, dtype=np.intp)
+            if orbits.shape != (len(coords),) or orbits.min() < 0 or not np.bincount(orbits).all():
+                raise ArgumentError("orbits must label every point with one of 0..K-1, each label used")
         condensed = distance.pdist(coords)
         if condensed.size and condensed.min() <= 0.0:
             raise ArgumentError("duplicate points (zero distance)")
-        return cls(pts, distance.squareform(condensed), _trusted=True)
+        return cls(pts, distance.squareform(condensed), _trusted=True, _orbits=orbits)
 
     def rescaled(self, factor):
         """Same space with all distances multiplied by ``factor`` > 0."""
@@ -92,7 +115,7 @@ class FiniteMetricSpace:
         scaled = self.dist * factor
         if np.count_nonzero(scaled) < len(self) * (len(self) - 1):  # only the diagonal may be 0
             raise ArgumentError(f"rescale factor {factor!r} underflows a distance to zero")
-        return type(self)(self.points, scaled, _trusted=True)
+        return type(self)(self.points, scaled, _trusted=True, _orbits=self.orbits)
 
 
 @dataclass(frozen=True)
@@ -146,10 +169,33 @@ def _solve_similarity(z, rhs):
 
 
 def weighting(space: FiniteMetricSpace, scale) -> Weighting:
-    """Solve Z w = 1 and record the max-norm residual."""
-    z = similarity_matrix(space, scale)
-    ones = np.ones(len(space))
-    w = _solve_similarity(z, ones)
+    """Solve Z w = 1 and record the max-norm residual.
+
+    A space with ``orbits`` is solved on the orbits: w = P v with P the N x K
+    point-to-orbit indicator, and Pᵀ Z P v = Pᵀ 1 = |O|.  Only the K rows of Z
+    at one representative per orbit are formed; within an orbit the rows of
+    Z P agree, so Pᵀ Z P = diag(|O|) Z[reps] P.  The system is solved in the
+    orthonormal scaling Qᵀ Z Q u = sqrt|O|, Q = P diag(|O|)^(-1/2): its
+    eigenvalues lie between Z's extreme ones, so its condition number is at
+    most Z's and the same guard applies.  The residual is that of the
+    representative rows.
+    """
+    if space.orbits is None:
+        z = similarity_matrix(space, scale)
+        w = _solve_similarity(z, np.ones(len(space)))
+    else:
+        if scale <= 0:
+            raise ArgumentError("scale must be positive")
+        orbits = space.orbits
+        _, reps, sizes = np.unique(orbits, return_index=True, return_counts=True)
+        k = len(reps)
+        z = np.exp(-scale * space.dist[reps])
+        # zp[i, j] = sum of Z over row reps[i] and the points of orbit j
+        cells = orbits + k * np.arange(k)[:, None]
+        zp = np.bincount(cells.ravel(), weights=z.ravel(), minlength=k * k).reshape(k, k)
+        root = np.sqrt(sizes)
+        s = root[:, None] * zp / root
+        w = (_solve_similarity((s + s.T) / 2, root) / root)[orbits]
     residual = float(np.abs(z @ w - 1.0).max())
     if residual > RESIDUAL_RTOL * max(1, len(space)):
         raise SolveError(f"weighting residual {residual:.3e} above tolerance")
@@ -189,6 +235,18 @@ def load_point_file(path_or_lines):
     Euclidean metric) or an explicit matrix block introduced by a header
     line ``matrix N`` followed by N rows of N entries.
     """
+    n, rows = read_point_rows(path_or_lines)
+    if n is not None:
+        return FiniteMetricSpace(list(range(n)), rows)
+    return FiniteMetricSpace.from_coordinates(rows)
+
+
+def read_point_rows(path_or_lines):
+    """The rows of a point file, parsed and shape-checked but not validated.
+
+    Returns ``(N, rows)`` for a ``matrix N`` block and ``(None, rows)`` for
+    coordinate rows, which all have the same length.
+    """
     if isinstance(path_or_lines, (str, bytes)):
         with open(path_or_lines) as fh:
             lines = fh.read().splitlines()
@@ -207,11 +265,11 @@ def load_point_file(path_or_lines):
         mat = [_parse_row(r) for r in rows[1 : n + 1]]
         if any(len(r) != n for r in mat):
             raise ArgumentError("matrix block has wrong shape")
-        return FiniteMetricSpace(list(range(n)), mat)
+        return n, mat
     coords = [_parse_row(r) for r in rows]
     if len({len(r) for r in coords}) != 1:
         raise ArgumentError("point rows have differing numbers of coordinates")
-    return FiniteMetricSpace.from_coordinates(coords)
+    return None, coords
 
 
 def _parse_row(text):

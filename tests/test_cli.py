@@ -104,6 +104,7 @@ def test_usage_errors_exit_2(tmp_path):
     ragged = tmp_path / "ragged.txt"
     ragged.write_text("0 0\n1 0 0\n")
     assert run(tmp_path, "finite", "--points", str(ragged)) == 2
+    assert run(tmp_path, "cloud", "--shape", "ball", "--n", "3", "--levels", "2") == 2
 
 
 def test_invalid_shape_is_usage_error(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maglab import metric
 from maglab.cloud import (
     DomainShape,
     RefinementReport,
@@ -8,7 +9,7 @@ from maglab.cloud import (
     refinement_sequence,
     sample_domain,
 )
-from maglab.errors import ArgumentError, DiagnosticError, ResourceError
+from maglab.errors import ArgumentError, DiagnosticError, ResourceError, SolveError
 
 
 def test_shape_validation():
@@ -75,6 +76,8 @@ def test_refinement_monotone_for_ball():
 def test_refinement_validation():
     with pytest.raises(ArgumentError):
         refinement_sequence(DomainShape.ball(3, 1.0), 1.0, 1)
+    with pytest.raises(ArgumentError, match="3 levels"):
+        refinement_sequence(DomainShape.ball(3, 1.0), 1.0, 2)
     with pytest.raises(ArgumentError):
         refinement_sequence(DomainShape.ball(3, 1.0), -1.0, 3)
 
@@ -131,6 +134,78 @@ def test_point_file_shape(tmp_path):
     assert len(space) == 3
     with pytest.raises(ArgumentError):
         shape.contains(np.zeros((1, 2)))
+    assert space.orbits is None
     path.write_text("matrix 2\n0 1\n1 0\n")
     with pytest.raises(ArgumentError, match="distance matrix"):
         DomainShape.from_point_file(str(path))
+    for text, message in (("0 0\n1 0 0\n", "differing"), ("0 0\n1 x\n", "non-numeric")):
+        path.write_text(text)
+        with pytest.raises(ArgumentError, match=message):
+            DomainShape.from_point_file(str(path))
+    # non-finite and duplicate points are rejected where the space is built
+    for text, message in (("0 0\n1 nan\n", "non-finite"), ("0 0\n1 0\n0 0\n", "duplicate")):
+        path.write_text(text)
+        shape = DomainShape.from_point_file(str(path))
+        with pytest.raises(ArgumentError, match=message):
+            sample_domain(shape, 1.0)
+
+
+# lattices with their symmetry group: hyperoctahedral, or sign flips for the 1x2x3 box
+SYMMETRIC_LATTICES = [
+    (DomainShape.ball(2, 1.0), 0.25),
+    (DomainShape.ball(3, 1.0), 0.25),
+    (DomainShape.shell(1, 2), 0.5),
+    (DomainShape.box(1.0, 1.0, 1.0), 0.25),
+    (DomainShape.box(1.0, 2.0, 3.0), 0.5),
+]
+
+
+@pytest.mark.parametrize("shape, h", SYMMETRIC_LATTICES, ids=["ball2", "ball3", "shell", "cube", "box123"])
+def test_orbit_weighting_matches_dense_solve(shape, h):
+    space = sample_domain(shape, h)
+    assert space.orbits is not None and space.orbits.max() + 1 < len(space)
+    keys = np.sort(np.abs(np.asarray(space.points)), axis=1)
+    if shape.kind == "box" and len(set(shape.params)) > 1:
+        keys = np.abs(np.asarray(space.points))
+    for label in range(space.orbits.max() + 1):  # one key per orbit
+        assert len(np.unique(keys[space.orbits == label], axis=0)) == 1
+    for scale in (0.5, 2.0, 8.0):
+        z = metric.similarity_matrix(space, scale)
+        dense = metric._solve_similarity(z, np.ones(len(space)))
+        w = metric.weighting(space, scale)
+        assert np.abs(w.weights - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert w.weights.sum() == pytest.approx(dense.sum(), rel=1e-12, abs=0)
+        assert np.abs(z @ w.weights - 1.0).max() <= metric.RESIDUAL_RTOL * len(space)
+
+
+def test_orbit_and_dense_solves_both_reject_a_singular_lattice():
+    # at scale 1e-12 every entry of Z is 1 - O(1e-12): numerically rank one
+    space = sample_domain(DomainShape.shell(1, 2), 0.5)
+    dense = metric.FiniteMetricSpace.from_coordinates(np.asarray(space.points))
+    assert space.orbits is not None and dense.orbits is None
+    for each in (space, dense):
+        with pytest.raises(SolveError, match="singular"):
+            metric.magnitude(each, 1e-12)
+
+
+def test_broken_symmetry_takes_the_dense_path(monkeypatch):
+    ball = DomainShape.ball(2, 1.0)
+    full = sample_domain(ball, 0.25)
+
+    def lopsided(self, x):  # drops (-1, 0) from the orbit of (1, 0)
+        return (x**2).sum(axis=1) <= 1.0 + 1e-12 - (x[:, 0] < -0.9)
+
+    monkeypatch.setattr(DomainShape, "contains", lopsided)
+    space = sample_domain(ball, 0.25)
+    assert len(space) == len(full) - 1 and space.orbits is None
+    dense = np.linalg.solve(metric.similarity_matrix(space, 1.0), np.ones(len(space)))
+    assert metric.magnitude(space, 1.0) == pytest.approx(dense.sum(), rel=1e-12)
+
+
+def test_lattice_refinement_never_forms_the_dense_similarity_matrix(monkeypatch):
+    def refuse(space, scale):
+        raise AssertionError(f"dense {len(space)} x {len(space)} similarity matrix formed")
+
+    monkeypatch.setattr(metric, "similarity_matrix", refuse)
+    report = refinement_sequence(DomainShape.shell(1, 2), 1.0, 3, base_spacing=0.6)
+    assert report.counts == (152, 1066, 8606)

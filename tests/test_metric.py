@@ -123,6 +123,9 @@ def test_validation_rejects_bad_matrices():
         (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]]).rescaled(np.inf), "finite and positive"),
         (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]]).rescaled(0.0), "finite and positive"),
         (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1e-5]]).rescaled(1e-320), "underflows"),
+        (lambda: FiniteMetricSpace.from_coordinates([[-1.0], [1.0]], orbits=[0]), "orbits"),
+        (lambda: FiniteMetricSpace.from_coordinates([[-1.0], [1.0]], orbits=[0, -1]), "orbits"),
+        (lambda: FiniteMetricSpace.from_coordinates([[-1.0], [1.0]], orbits=[1, 1]), "orbits"),
     ):
         with pytest.raises(ArgumentError, match=message):
             build()
@@ -133,21 +136,38 @@ def test_spaces_are_frozen_and_own_their_matrix():
     outside = FiniteMetricSpace([0, 1], dist)
     dist[0, 1] = 5.0
     assert outside.dist[0, 1] == 2.0
-    coords = FiniteMetricSpace.from_coordinates([[0.0, 0.0], [3.0, 4.0]])
+    labels = np.array([0, 0])
+    coords = FiniteMetricSpace.from_coordinates([[-2.0, 0.0], [2.0, 0.0]], orbits=labels)
+    labels[1] = 1
     scaled = coords.rescaled(0.5)
-    assert scaled.points == coords.points and scaled.dist[0, 1] == 2.5
+    assert scaled.points == coords.points and scaled.dist[0, 1] == 2.0
+    assert scaled.orbits.tolist() == coords.orbits.tolist() == [0, 0]
     for space in (outside, coords, scaled):
         assert not space.dist.flags.writeable
         with pytest.raises(ValueError):
             space.dist[0, 1] = 1.0
+    for space in (coords, scaled):
+        assert not space.orbits.flags.writeable
 
 
 def test_scale_must_be_positive():
-    space = FiniteMetricSpace.from_coordinates([[0.0], [1.0]])
-    with pytest.raises(ArgumentError):
-        magnitude(space, 0.0)
-    with pytest.raises(ArgumentError):
-        magnitude(space, -1.0)
+    for space in (
+        FiniteMetricSpace.from_coordinates([[0.0], [1.0]]),
+        FiniteMetricSpace.from_coordinates([[-1.0], [1.0]], orbits=[0, 0]),
+    ):
+        with pytest.raises(ArgumentError):
+            magnitude(space, 0.0)
+        with pytest.raises(ArgumentError):
+            magnitude(space, -1.0)
+
+
+def test_orbit_weighting_of_two_points():
+    # both points of {-d/2, d/2} form one orbit under x -> -x: w = 1 / (1 + e^{-d})
+    d = 0.7
+    space = FiniteMetricSpace.from_coordinates([[-d / 2], [d / 2]], orbits=[0, 0])
+    w = weighting(space, 1.0)
+    assert w.weights.tolist() == pytest.approx([1 / (1 + math.exp(-d))] * 2, rel=1e-14)
+    assert magnitude(space.rescaled(2.0), 1.0) == pytest.approx(2 / (1 + math.exp(-2 * d)), rel=1e-14)
 
 
 def test_load_point_file_coordinates(tmp_path):
