@@ -31,16 +31,7 @@ from .errors import (
     ResourceError,
     SolveError,
 )
-from .expopoly import (
-    ExpoPoly,
-    RadialOperatorSpec,
-    decaying_basis,
-    differentiate,
-    dimension_shift,
-    evaluate,
-    helmholtz_apply,
-    regular_basis_3d,
-)
+from .expopoly import ExpoPoly, RadialOperatorSpec, decaying_basis, regular_basis_3d
 from .invariants import (
     AsymptoticPolynomial,
     GeometricInvariants,

@@ -18,8 +18,9 @@ import numpy as np
 from .errors import ArgumentError, DiagnosticError, ResourceError
 from .metric import FiniteMetricSpace, magnitude, read_point_rows
 
-#: default cap on lattice point counts; it bounds the N x N distance matrix
-#: (8 N^2 bytes), lattice weightings being solved on orbits
+#: default cap on sample point counts; it bounds the N x N distance matrix
+#: (8 N^2 bytes) of a dense sample and the K x N orbit representatives' rows
+#: (8 K N bytes) of a lattice
 DEFAULT_POINT_CAP = 20000
 
 #: slack allowed when asserting monotone refinement

@@ -12,12 +12,15 @@ class ArgumentError(MaglabError, ValueError):
 class SolveError(MaglabError):
     """A linear solve failed or the system is numerically singular.
 
-    Carries the condition-number estimate when one is available.
+    Carries the scale, the condition-number estimate and the residual of
+    the failed solve, each when one is available (else None).
     """
 
-    def __init__(self, message, condition=None):
+    def __init__(self, message, condition=None, *, scale=None, residual=None):
         super().__init__(message)
         self.condition = condition
+        self.scale = scale
+        self.residual = residual
 
 
 class ResonanceError(SolveError):
@@ -28,8 +31,7 @@ class ResonanceError(SolveError):
     """
 
     def __init__(self, message, scale, condition=None):
-        super().__init__(message, condition=condition)
-        self.scale = scale
+        super().__init__(message, condition=condition, scale=scale)
 
 
 class ResourceError(MaglabError):

@@ -231,25 +231,6 @@ class ExpoPoly:
         return f"ExpoPoly[{body}; R={self.rate}]"
 
 
-# -- module-level operation wrappers (functional style used by callers) ----
-
-
-def differentiate(p: ExpoPoly) -> ExpoPoly:
-    return p.differentiate()
-
-
-def helmholtz_apply(p: ExpoPoly, spec: RadialOperatorSpec) -> ExpoPoly:
-    return p.helmholtz_apply(spec)
-
-
-def dimension_shift(p: ExpoPoly) -> ExpoPoly:
-    return p.dimension_shift()
-
-
-def evaluate(p: ExpoPoly, r):
-    return p.evaluate(r)
-
-
 def decaying_basis(spec: RadialOperatorSpec) -> list:
     """Basis of exterior-decaying solutions of (R^2 - Delta_n)^m u = 0.
 

@@ -7,8 +7,9 @@ which is the same as rescaling all distances by R.
 
 Z is positive definite on Euclidean spaces, so the weighting is unique and
 hence constant on the orbits of any isometry group that maps the space onto
-itself.  A space that carries such an orbit labelling is solved with one
-unknown per orbit (see ``weighting``).
+itself.  A space that carries such an orbit labelling holds only the K x N
+distance rows of one representative per orbit, never the N x N matrix, and
+is solved with one unknown per orbit (see ``weighting``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import ArgumentError, SolveError
 METRIC_TOL = 1e-12
 #: relative residual tolerance for accepted weightings
 RESIDUAL_RTOL = 1e-10
-#: condition-number estimate above which a solve is declared singular
+#: 1-norm condition-number estimate above which a solve is declared singular
 CONDITION_LIMIT = 1e12
 #: bytes of each temporary in the blocked triangle-inequality check
 TRIANGLE_BLOCK_BYTES = 32 * 2**20
@@ -33,24 +34,28 @@ TRIANGLE_BLOCK_BYTES = 32 * 2**20
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Point labels plus an N x N distance matrix.
+    """Point labels plus their distances.
 
     ``points`` may carry coordinates (arrays) or any hashable labels; only the
-    distance matrix enters the computations.  A matrix from outside is copied
-    and checked: finite, symmetric, zero diagonal, positive off the diagonal,
-    triangle inequality.  ``from_coordinates`` and ``rescaled`` check only what
-    construction cannot guarantee and pass a fresh metric with ``_trusted``.
+    distances enter the computations.  ``dist`` is the N x N distance matrix.
+    A matrix from outside is copied and checked: finite, symmetric, zero
+    diagonal, positive off the diagonal, triangle inequality.
+    ``from_coordinates`` and ``rescaled`` check only what construction cannot
+    guarantee and pass fresh distances with ``_trusted``.
 
     ``orbits`` is None or a read-only integer array labelling each point with
     its orbit 0..K-1 under an isometry group of the space (see
-    ``from_coordinates``).
+    ``from_coordinates``).  Such a space has no ``dist``; it holds ``rows``,
+    the read-only K x N distances from the first point of each orbit (its
+    representative) to every point, which the symmetry extends to all pairs.
     """
 
     points: tuple
-    dist: np.ndarray = field(repr=False)
+    dist: np.ndarray | None = field(repr=False)
     orbits: np.ndarray | None = field(default=None, repr=False)
+    rows: np.ndarray | None = field(default=None, repr=False)
 
-    def __init__(self, points, dist, *, _trusted=False, _orbits=None):
+    def __init__(self, points, dist, *, _trusted=False, _orbits=None, _rows=None):
         if not _trusted:
             dist = np.array(dist, dtype=float)
             n = len(points)
@@ -74,12 +79,13 @@ class FiniteMetricSpace:
                     slack = rows[:, None, :] - (rows[:, :, None] + dist[None, :, :])
                     if slack.max() > METRIC_TOL:
                         raise ArgumentError("triangle inequality violated beyond tolerance")
-        dist.flags.writeable = False
-        if _orbits is not None:
-            _orbits.flags.writeable = False
+        for array in (dist, _orbits, _rows):
+            if array is not None:
+                array.flags.writeable = False
         object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "orbits", _orbits)
+        object.__setattr__(self, "rows", _rows)
 
     def __len__(self):
         return len(self.points)
@@ -91,7 +97,8 @@ class FiniteMetricSpace:
         ``orbits``, if given, labels row i with its orbit 0..K-1 under a group of
         isometries that maps the rows onto themselves; every label must occur.
         Only its form is checked here: the caller vouches for the symmetry,
-        as ``cloud.sample_domain`` does for its lattices.
+        as ``cloud.sample_domain`` does for its lattices.  The space then keeps
+        only the K representative rows of the distance matrix.
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         if not np.isfinite(coords).all():
@@ -103,19 +110,28 @@ class FiniteMetricSpace:
             orbits = np.array(orbits, dtype=np.intp)
             if orbits.shape != (len(coords),) or orbits.min() < 0 or not np.bincount(orbits).all():
                 raise ArgumentError("orbits must label every point with one of 0..K-1, each label used")
+            _, reps = np.unique(orbits, return_index=True)
+            rows = distance.cdist(coords[reps], coords)
+            # the group element taking a duplicate pair to its representative
+            # puts a second zero in that representative's row
+            if np.count_nonzero(rows) < len(reps) * (len(coords) - 1):
+                raise ArgumentError("duplicate points (zero distance)")
+            return cls(pts, None, _trusted=True, _orbits=orbits, _rows=rows)
         condensed = distance.pdist(coords)
         if condensed.size and condensed.min() <= 0.0:
             raise ArgumentError("duplicate points (zero distance)")
-        return cls(pts, distance.squareform(condensed), _trusted=True, _orbits=orbits)
+        return cls(pts, distance.squareform(condensed), _trusted=True)
 
     def rescaled(self, factor):
         """Same space with all distances multiplied by ``factor`` > 0."""
         if not (np.isfinite(factor) and factor > 0):
             raise ArgumentError(f"rescale factor must be finite and positive, got {factor!r}")
-        scaled = self.dist * factor
-        if np.count_nonzero(scaled) < len(self) * (len(self) - 1):  # only the diagonal may be 0
+        scaled = (self.dist if self.rows is None else self.rows) * factor
+        if np.count_nonzero(scaled) < len(scaled) * (len(self) - 1):  # one 0 a row, at its own point
             raise ArgumentError(f"rescale factor {factor!r} underflows a distance to zero")
-        return type(self)(self.points, scaled, _trusted=True, _orbits=self.orbits)
+        if self.rows is None:
+            return type(self)(self.points, scaled, _trusted=True)
+        return type(self)(self.points, None, _trusted=True, _orbits=self.orbits, _rows=scaled)
 
 
 @dataclass(frozen=True)
@@ -128,44 +144,48 @@ class Weighting:
 
 
 def similarity_matrix(space: FiniteMetricSpace, scale) -> np.ndarray:
-    """Z with entries exp(-scale * d(x, y)); symmetric with unit diagonal."""
+    """Z with entries exp(-scale * d(x, y)); symmetric with unit diagonal.
+
+    A space with orbits holds no N x N distances and so has no dense Z; its
+    orbit-free twin is ``FiniteMetricSpace.from_coordinates(space.points)``.
+    """
+    if space.dist is None:
+        raise ArgumentError("a space with orbits has no dense similarity matrix")
     if scale <= 0:
         raise ArgumentError("scale must be positive")
     return np.exp(-scale * space.dist)
 
 
 def _solve_similarity(z, rhs):
-    """Solve Z x = rhs, preferring a Cholesky factorization.
+    """Solve Z x = rhs and return (x, 1-norm condition number of Z).
 
-    Z is positive definite for Euclidean inputs; for general user data fall
-    back to a pivoted LU solve with one step of iterative refinement.
-    Raises SolveError when the condition estimate exceeds CONDITION_LIMIT.
+    Z is positive definite for Euclidean inputs: it is Cholesky-factored and
+    LAPACK's dpocon estimates the condition number from the factor.  General
+    user data that is not positive definite falls back to a pivoted LU solve
+    and the exact 1-norm condition number.  One step of iterative refinement
+    keeps the residual at the round-off floor.  The caller judges the
+    condition number.
     """
     try:
-        cho = sla.cho_factor(z, check_finite=False)
-        x = sla.cho_solve(cho, rhs, check_finite=False)
+        factor, lower = sla.cho_factor(z, check_finite=False)
     except sla.LinAlgError:
-        lu, piv = sla.lu_factor(z, check_finite=False)
+        lu = sla.lu_factor(z, check_finite=False)
         cond = np.linalg.cond(z, 1)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise SolveError(
-                f"similarity matrix numerically singular (cond ~ {cond:.3e})",
-                condition=cond,
-            )
-        x = sla.lu_solve((lu, piv), rhs, check_finite=False)
-        x += sla.lu_solve((lu, piv), rhs - z @ x, check_finite=False)
-        return x
-    # Cholesky succeeded; still reject hopelessly ill-conditioned systems
-    diag = np.abs(np.diag(cho[0]))
-    cond_est = (diag.max() / diag.min()) ** 2 if diag.min() > 0 else np.inf
-    if cond_est > CONDITION_LIMIT:
-        raise SolveError(
-            f"similarity matrix numerically singular (cond ~ {cond_est:.3e})",
-            condition=cond_est,
-        )
-    # one refinement step keeps the residual at the round-off floor
-    x += sla.cho_solve(cho, rhs - z @ x, check_finite=False)
-    return x
+
+        def solve(b):
+            return sla.lu_solve(lu, b, check_finite=False)
+
+    else:
+        # Z's entries are exponentials, so its 1-norm is its largest column sum
+        rcond, _ = sla.lapack.dpocon(factor, z.sum(axis=0).max(), uplo="L" if lower else "U")
+        cond = 1.0 / rcond if rcond > 0 else np.inf
+
+        def solve(b):
+            return sla.cho_solve((factor, lower), b, check_finite=False)
+
+    x = solve(rhs)
+    x += solve(rhs - z @ x)
+    return x, cond
 
 
 def weighting(space: FiniteMetricSpace, scale) -> Weighting:
@@ -173,33 +193,42 @@ def weighting(space: FiniteMetricSpace, scale) -> Weighting:
 
     A space with ``orbits`` is solved on the orbits: w = P v with P the N x K
     point-to-orbit indicator, and Pᵀ Z P v = Pᵀ 1 = |O|.  Only the K rows of Z
-    at one representative per orbit are formed; within an orbit the rows of
-    Z P agree, so Pᵀ Z P = diag(|O|) Z[reps] P.  The system is solved in the
-    orthonormal scaling Qᵀ Z Q u = sqrt|O|, Q = P diag(|O|)^(-1/2): its
-    eigenvalues lie between Z's extreme ones, so its condition number is at
-    most Z's and the same guard applies.  The residual is that of the
-    representative rows.
+    at one representative per orbit are formed, from the space's ``rows``;
+    within an orbit the rows of Z P agree, so Pᵀ Z P = diag(|O|) Z[reps] P.
+    The system is solved in the orthonormal scaling Qᵀ Z Q u = sqrt|O|,
+    Q = P diag(|O|)^(-1/2): its eigenvalues lie between Z's extreme ones, so
+    its condition number is at most Z's and the same guard applies.  The
+    residual is that of the representative rows.
+
+    Raises SolveError, carrying the scale, condition number and residual,
+    when the condition number exceeds CONDITION_LIMIT or the residual its
+    tolerance.
     """
     if space.orbits is None:
         z = similarity_matrix(space, scale)
-        w = _solve_similarity(z, np.ones(len(space)))
+        w, cond = _solve_similarity(z, np.ones(len(space)))
     else:
         if scale <= 0:
             raise ArgumentError("scale must be positive")
         orbits = space.orbits
-        _, reps, sizes = np.unique(orbits, return_index=True, return_counts=True)
-        k = len(reps)
-        z = np.exp(-scale * space.dist[reps])
-        # zp[i, j] = sum of Z over row reps[i] and the points of orbit j
+        sizes = np.bincount(orbits)
+        k = len(sizes)
+        z = np.exp(-scale * space.rows)
+        # zp[i, j] = sum of Z over representative row i and the points of orbit j
         cells = orbits + k * np.arange(k)[:, None]
         zp = np.bincount(cells.ravel(), weights=z.ravel(), minlength=k * k).reshape(k, k)
         root = np.sqrt(sizes)
         s = root[:, None] * zp / root
-        w = (_solve_similarity((s + s.T) / 2, root) / root)[orbits]
+        v, cond = _solve_similarity((s + s.T) / 2, root)
+        w = (v / root)[orbits]
     residual = float(np.abs(z @ w - 1.0).max())
-    if residual > RESIDUAL_RTOL * max(1, len(space)):
-        raise SolveError(f"weighting residual {residual:.3e} above tolerance")
-    return Weighting(weights=w, scale=float(scale), residual=residual)
+    if not cond <= CONDITION_LIMIT:
+        message = f"similarity matrix numerically singular (cond ~ {cond:.3e})"
+    elif residual > RESIDUAL_RTOL * max(1, len(space)):
+        message = f"weighting residual {residual:.3e} above tolerance"
+    else:
+        return Weighting(weights=w, scale=float(scale), residual=residual)
+    raise SolveError(message, cond, scale=float(scale), residual=residual)
 
 
 def magnitude(space: FiniteMetricSpace, scale) -> float:

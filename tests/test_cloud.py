@@ -169,9 +169,13 @@ def test_orbit_weighting_matches_dense_solve(shape, h):
         keys = np.abs(np.asarray(space.points))
     for label in range(space.orbits.max() + 1):  # one key per orbit
         assert len(np.unique(keys[space.orbits == label], axis=0)) == 1
+    twin = metric.FiniteMetricSpace.from_coordinates(np.asarray(space.points))
+    _, reps = np.unique(space.orbits, return_index=True)
+    assert space.dist is None and twin.orbits is None
+    assert np.array_equal(space.rows, twin.dist[reps])
     for scale in (0.5, 2.0, 8.0):
-        z = metric.similarity_matrix(space, scale)
-        dense = metric._solve_similarity(z, np.ones(len(space)))
+        z = metric.similarity_matrix(twin, scale)
+        dense, _ = metric._solve_similarity(z, np.ones(len(space)))
         w = metric.weighting(space, scale)
         assert np.abs(w.weights - dense).max() <= 1e-12 * np.abs(dense).max()
         assert w.weights.sum() == pytest.approx(dense.sum(), rel=1e-12, abs=0)
@@ -179,13 +183,16 @@ def test_orbit_weighting_matches_dense_solve(shape, h):
 
 
 def test_orbit_and_dense_solves_both_reject_a_singular_lattice():
-    # at scale 1e-12 every entry of Z is 1 - O(1e-12): numerically rank one
+    # at scale 1e-12 every entry of Z is 1 - O(1e-12): numerically rank one;
+    # at 1e-9 the 1-norm condition numbers are still about 2e12
     space = sample_domain(DomainShape.shell(1, 2), 0.5)
     dense = metric.FiniteMetricSpace.from_coordinates(np.asarray(space.points))
     assert space.orbits is not None and dense.orbits is None
-    for each in (space, dense):
-        with pytest.raises(SolveError, match="singular"):
-            metric.magnitude(each, 1e-12)
+    for scale in (1e-9, 1e-12):
+        for each in (space, dense):
+            with pytest.raises(SolveError, match="singular") as caught:
+                metric.magnitude(each, scale)
+            assert caught.value.scale == scale and caught.value.condition > metric.CONDITION_LIMIT
 
 
 def test_broken_symmetry_takes_the_dense_path(monkeypatch):
@@ -207,5 +214,15 @@ def test_lattice_refinement_never_forms_the_dense_similarity_matrix(monkeypatch)
         raise AssertionError(f"dense {len(space)} x {len(space)} similarity matrix formed")
 
     monkeypatch.setattr(metric, "similarity_matrix", refuse)
+    report = refinement_sequence(DomainShape.shell(1, 2), 1.0, 3, base_spacing=0.6)
+    assert report.counts == (152, 1066, 8606)
+
+
+def test_lattice_refinement_never_forms_the_dense_distance_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense N x N distances formed for a lattice")
+
+    monkeypatch.setattr(metric.distance, "pdist", refuse)
+    monkeypatch.setattr(metric.distance, "squareform", refuse)
     report = refinement_sequence(DomainShape.shell(1, 2), 1.0, 3, base_spacing=0.6)
     assert report.counts == (152, 1066, 8606)

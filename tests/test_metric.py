@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from maglab.errors import ArgumentError
+from maglab import metric
+from maglab.errors import ArgumentError, SolveError
 from maglab.metric import (
+    CONDITION_LIMIT,
     TRIANGLE_BLOCK_BYTES,
     FiniteMetricSpace,
     is_positive_definite,
@@ -123,6 +125,13 @@ def test_validation_rejects_bad_matrices():
         (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]]).rescaled(np.inf), "finite and positive"),
         (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]]).rescaled(0.0), "finite and positive"),
         (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1e-5]]).rescaled(1e-320), "underflows"),
+        (lambda: FiniteMetricSpace.from_coordinates([[-1e-5], [1e-5]], orbits=[0, 0]).rescaled(1e-320), "underflows"),
+        # duplicates under the symmetry: at the representative, and away from it
+        (lambda: FiniteMetricSpace.from_coordinates([[-1.0], [1.0], [1.0], [-1.0]], orbits=[0] * 4), "duplicate"),
+        (
+            lambda: FiniteMetricSpace.from_coordinates([[0.0], [-1.0], [1.0], [1.0], [-1.0]], orbits=[0, 1, 1, 1, 1]),
+            "duplicate",
+        ),
         (lambda: FiniteMetricSpace.from_coordinates([[-1.0], [1.0]], orbits=[0]), "orbits"),
         (lambda: FiniteMetricSpace.from_coordinates([[-1.0], [1.0]], orbits=[0, -1]), "orbits"),
         (lambda: FiniteMetricSpace.from_coordinates([[-1.0], [1.0]], orbits=[1, 1]), "orbits"),
@@ -140,14 +149,23 @@ def test_spaces_are_frozen_and_own_their_matrix():
     coords = FiniteMetricSpace.from_coordinates([[-2.0, 0.0], [2.0, 0.0]], orbits=labels)
     labels[1] = 1
     scaled = coords.rescaled(0.5)
-    assert scaled.points == coords.points and scaled.dist[0, 1] == 2.0
+    # a space with orbits holds its representative's row of distances, no matrix
+    assert coords.dist is None and coords.rows.tolist() == [[0.0, 4.0]]
+    assert scaled.points == coords.points and scaled.dist is None and scaled.rows[0, 1] == 2.0
     assert scaled.orbits.tolist() == coords.orbits.tolist() == [0, 0]
-    for space in (outside, coords, scaled):
-        assert not space.dist.flags.writeable
+    for held in (outside.dist, coords.rows, scaled.rows):
+        assert not held.flags.writeable
         with pytest.raises(ValueError):
-            space.dist[0, 1] = 1.0
+            held[0, 1] = 1.0
     for space in (coords, scaled):
         assert not space.orbits.flags.writeable
+
+
+def test_orbit_spaces_have_no_dense_matrix():
+    space = FiniteMetricSpace.from_coordinates([[-1.0], [1.0]], orbits=[0, 0])
+    for dense in (similarity_matrix, is_positive_definite):
+        with pytest.raises(ArgumentError, match="orbits"):
+            dense(space, 1.0)
 
 
 def test_scale_must_be_positive():
@@ -168,6 +186,31 @@ def test_orbit_weighting_of_two_points():
     w = weighting(space, 1.0)
     assert w.weights.tolist() == pytest.approx([1 / (1 + math.exp(-d))] * 2, rel=1e-14)
     assert magnitude(space.rescaled(2.0), 1.0) == pytest.approx(2 / (1 + math.exp(-2 * d)), rel=1e-14)
+
+
+def test_solve_errors_carry_scale_condition_and_residual(monkeypatch):
+    rng = np.random.default_rng(12)
+    spaces = (
+        FiniteMetricSpace.from_coordinates(rng.normal(size=(30, 2))),
+        FiniteMetricSpace.from_coordinates([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], orbits=[0, 1, 0]),
+    )
+    for space in spaces:  # the condition guard: three points or more are near-singular at 1e-12
+        with pytest.raises(SolveError, match="singular") as caught:
+            weighting(space, 1e-12)
+        assert caught.value.scale == 1e-12 and caught.value.condition > CONDITION_LIMIT
+        assert caught.value.residual is not None and caught.value.residual >= 0.0
+    solve = metric._solve_similarity
+
+    def inexact(z, rhs):  # a solve 1e-6 off, which the residual guard must catch
+        x, cond = solve(z, rhs)
+        return x * (1 + 1e-6), cond
+
+    monkeypatch.setattr(metric, "_solve_similarity", inexact)
+    for space in spaces:
+        with pytest.raises(SolveError, match="residual") as caught:
+            weighting(space, 2.0)
+        assert caught.value.scale == 2.0 and 1 <= caught.value.condition <= CONDITION_LIMIT
+        assert 1e-7 < caught.value.residual < 1e-5
 
 
 def test_load_point_file_coordinates(tmp_path):
