@@ -26,6 +26,8 @@ from .errors import ArgumentError, MeshError, PrecisionError
 
 #: dihedral deviation (radians) beyond which a mesh is flagged as non-smooth
 SMOOTHNESS_ANGLE = 0.8
+#: rows of an OFF file formatted by one string operation
+OFF_BLOCK_ROWS = 4096
 
 
 def unit_ball_volume(n: int) -> float:
@@ -240,24 +242,23 @@ def icosphere(subdivisions: int = 3, radius: float = 1.0) -> SurfaceMesh:
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
     ]
-    verts = [np.array(p, dtype=float) for p in verts]
+    verts = np.array(verts, dtype=float)
+    faces = np.array(faces)
     for _ in range(subdivisions):
-        cache = {}
-        new_faces = []
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                verts.append((verts[i] + verts[j]) / 2)
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    pts = np.array(verts)
-    pts = pts / np.linalg.norm(pts, axis=1)[:, None] * radius
+        # edges ab, bc, ca of each face in turn; each new midpoint gets the next
+        # index at its edge's first occurrence
+        ends = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
+        ends.sort(axis=1)
+        _, first, inverse = np.unique(ends[:, 0] * len(verts) + ends[:, 1], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        edges = ends[first[order]]
+        mids = (len(verts) + rank[inverse]).reshape(-1, 3)
+        verts = np.concatenate([verts, (verts[edges[:, 0]] + verts[edges[:, 1]]) / 2])
+        (a, b, c), (ab, bc, ca) = faces.T, mids.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    pts = verts / np.linalg.norm(verts, axis=1)[:, None] * radius
     return SurfaceMesh(pts, faces)
 
 
@@ -324,10 +325,10 @@ def write_off(mesh: SurfaceMesh, path) -> None:
     with open(path, "w") as fh:
         fh.write("OFF\n")
         fh.write(f"{len(mesh.vertices)} {len(mesh.triangles)} 0\n")
-        for vx, vy, vz in mesh.vertices:
-            fh.write(f"{vx:.17g} {vy:.17g} {vz:.17g}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"3 {a} {b} {c}\n")
+        for rows, line in ((mesh.vertices, "%.17g %.17g %.17g\n"), (mesh.triangles, "3 %d %d %d\n")):
+            for i in range(0, len(rows), OFF_BLOCK_ROWS):
+                block = rows[i : i + OFF_BLOCK_ROWS]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 # -- large-R coefficient fit ----------------------------------------------

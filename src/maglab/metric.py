@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.spatial import distance
 
 from .errors import ArgumentError, SolveError
 
@@ -30,6 +29,8 @@ RESIDUAL_RTOL = 1e-10
 CONDITION_LIMIT = 1e12
 #: bytes of each temporary in the blocked triangle-inequality check
 TRIANGLE_BLOCK_BYTES = 32 * 2**20
+#: bytes of each block of distance rows built at once from coordinates
+DISTANCE_BLOCK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -111,16 +112,15 @@ class FiniteMetricSpace:
             if orbits.shape != (len(coords),) or orbits.min() < 0 or not np.bincount(orbits).all():
                 raise ArgumentError("orbits must label every point with one of 0..K-1, each label used")
             _, reps = np.unique(orbits, return_index=True)
-            rows = distance.cdist(coords[reps], coords)
-            # the group element taking a duplicate pair to its representative
-            # puts a second zero in that representative's row
-            if np.count_nonzero(rows) < len(reps) * (len(coords) - 1):
-                raise ArgumentError("duplicate points (zero distance)")
-            return cls(pts, None, _trusted=True, _orbits=orbits, _rows=rows)
-        condensed = distance.pdist(coords)
-        if condensed.size and condensed.min() <= 0.0:
+        rows = _distances(coords if orbits is None else coords[reps], coords)
+        # zero off the diagonal is a duplicate pair; in an orbit space the group
+        # element taking such a pair to its representative puts a second zero
+        # in that representative's row
+        if np.count_nonzero(rows) < len(rows) * (len(coords) - 1):
             raise ArgumentError("duplicate points (zero distance)")
-        return cls(pts, distance.squareform(condensed), _trusted=True)
+        if orbits is None:
+            return cls(pts, rows, _trusted=True)
+        return cls(pts, None, _trusted=True, _orbits=orbits, _rows=rows)
 
     def rescaled(self, factor):
         """Same space with all distances multiplied by ``factor`` > 0."""
@@ -132,6 +132,32 @@ class FiniteMetricSpace:
         if self.rows is None:
             return type(self)(self.points, scaled, _trusted=True)
         return type(self)(self.points, None, _trusted=True, _orbits=self.orbits, _rows=scaled)
+
+
+def _distances(a, b):
+    """Euclidean distances from each row of ``a`` (M, n) to each row of ``b`` (N, n).
+
+    The arithmetic is scipy's ``cdist``: squared coordinate differences added
+    in coordinate order, then the square root, so the M x N result is
+    bit-identical to it (and, for ``a is b``, to ``squareform(pdist(a))``).
+    Rows are built in blocks whose difference temporary stays near
+    DISTANCE_BLOCK_BYTES.
+    """
+    shape = (len(a), len(b))
+    out = np.empty(shape) if b.shape[1] else np.zeros(shape)  # no coordinates: all points coincide
+    sources, columns = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    block = max(1, DISTANCE_BLOCK_BYTES // (8 * len(b)))
+    diff = np.empty((min(block, len(a)), len(b)))
+    for i in range(0, len(a), block):
+        rows = out[i : i + block]
+        for k, column in enumerate(columns):
+            step = rows if k == 0 else diff[: len(rows)]
+            np.subtract(sources[k, i : i + block, None], column, out=step)
+            np.multiply(step, step, out=step)
+            if k:
+                rows += step
+        np.sqrt(rows, out=rows)
+    return out
 
 
 @dataclass(frozen=True)

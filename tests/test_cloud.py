@@ -219,10 +219,16 @@ def test_lattice_refinement_never_forms_the_dense_similarity_matrix(monkeypatch)
 
 
 def test_lattice_refinement_never_forms_the_dense_distance_matrix(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense N x N distances formed for a lattice")
+    built = []
+    distances = metric._distances
 
-    monkeypatch.setattr(metric.distance, "pdist", refuse)
-    monkeypatch.setattr(metric.distance, "squareform", refuse)
+    def refuse_dense(a, b):
+        if len(a) == len(b):
+            raise AssertionError("dense N x N distances formed for a lattice")
+        built.append(len(b))
+        return distances(a, b)
+
+    monkeypatch.setattr(metric, "_distances", refuse_dense)
     report = refinement_sequence(DomainShape.shell(1, 2), 1.0, 3, base_spacing=0.6)
     assert report.counts == (152, 1066, 8606)
+    assert built == list(report.counts)

@@ -1,6 +1,9 @@
 """Source hygiene checks on the maglab package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "maglab"
@@ -36,3 +39,11 @@ def test_no_unused_imports_in_package():
         for line, name in _unused_imports(path.read_text())
     ]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_startup_loads_no_scipy_spatial_or_special():
+    # every maglab process pays for its imports; scipy.linalg is the one scipy module needed
+    probe = "import sys, maglab, maglab.cli; print(sorted(m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"

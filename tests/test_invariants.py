@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from maglab import invariants
 from maglab.cloud import DomainShape
 from maglab.errors import ArgumentError, MeshError
 from maglab.invariants import (
@@ -159,6 +160,64 @@ def test_mesh_edge_table_matches_loop_reference():
             warnings.simplefilter("ignore")
             total_h = invariants_from_mesh(mesh).total_mean_curvature
         assert total_h == pytest.approx(_loop_total_mean_curvature(mesh), rel=1e-12)
+
+
+def _loop_icosphere(subdivisions):
+    """Reference: subdivide face by face, numbering each midpoint at its first use."""
+    phi = (1 + math.sqrt(5)) / 2
+    verts = [
+        (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
+        (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
+        (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
+    ]
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    verts = [np.array(p, dtype=float) for p in verts]
+    for _ in range(subdivisions):
+        cache = {}
+        new_faces = []
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                verts.append((verts[i] + verts[j]) / 2)
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    pts = np.array(verts)
+    return pts / np.linalg.norm(pts, axis=1)[:, None], np.array(faces)
+
+
+def _loop_off_text(mesh):
+    """Reference: the OFF file written line by line."""
+    lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.triangles)} 0"]
+    lines += [f"{vx:.17g} {vy:.17g} {vz:.17g}" for vx, vy, vz in mesh.vertices]
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+    return "\n".join(lines) + "\n"
+
+
+def test_icosphere_matches_loop_reference():
+    for k in range(6):
+        vertices, triangles = _loop_icosphere(k)
+        mesh = icosphere(k)
+        assert np.array_equal(mesh.vertices, vertices) and np.array_equal(mesh.triangles, triangles)
+
+
+def test_write_off_matches_loop_reference(tmp_path):
+    # icosphere(4) has 2562 vertices and 5120 triangles, so the faces span two blocks
+    assert 5120 > invariants.OFF_BLOCK_ROWS
+    for mesh in [icosphere(k) for k in range(5)] + [cube_mesh(1), cube_mesh(2)]:
+        path = tmp_path / "mesh.off"
+        write_off(mesh, path)
+        assert path.read_bytes() == _loop_off_text(mesh).encode()
 
 
 def test_mesh_owns_frozen_arrays():

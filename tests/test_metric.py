@@ -7,6 +7,7 @@ from maglab import metric
 from maglab.errors import ArgumentError, SolveError
 from maglab.metric import (
     CONDITION_LIMIT,
+    DISTANCE_BLOCK_BYTES,
     TRIANGLE_BLOCK_BYTES,
     FiniteMetricSpace,
     is_positive_definite,
@@ -120,6 +121,8 @@ def test_validation_rejects_bad_matrices():
         (lambda: FiniteMetricSpace.from_coordinates([[0.0, 0.0], [1.0, np.nan]]), "non-finite"),
         (lambda: FiniteMetricSpace.from_coordinates([[np.inf, 0.0]]), "non-finite"),
         (lambda: FiniteMetricSpace.from_coordinates([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]]), "duplicate"),
+        # the distances are built in row blocks; the copy's row lies past the first
+        (lambda: FiniteMetricSpace.from_coordinates(np.r_[np.arange(300.0), 0.0][:, None]), "duplicate"),
         (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]], labels=["a"]), "labels"),
         (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]]).rescaled(np.nan), "finite and positive"),
         (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]]).rescaled(np.inf), "finite and positive"),
@@ -138,6 +141,31 @@ def test_validation_rejects_bad_matrices():
     ):
         with pytest.raises(ArgumentError, match=message):
             build()
+
+
+def test_distances_match_scipy_bit_for_bit():
+    from scipy.spatial.distance import cdist, pdist, squareform
+
+    from maglab.cloud import DomainShape, sample_domain
+
+    rng = np.random.default_rng(11)
+    # 700 x 300 and 300 x 700 both span several row blocks
+    assert 300 > 2 * DISTANCE_BLOCK_BYTES // (8 * 700) and 700 > 2 * DISTANCE_BLOCK_BYTES // (8 * 300)
+    for dim in range(1, 8):
+        # coordinates over ten decades, so rounding differs between summation orders
+        cloud = rng.standard_normal((1000, dim)) * 10.0 ** rng.uniform(-5, 5, (1000, dim))
+        a, b = cloud[:700], cloud[700:]
+        assert np.array_equal(metric._distances(a, b), cdist(a, b))
+        assert np.array_equal(metric._distances(b, a), cdist(b, a))
+        assert np.array_equal(metric._distances(cloud[:3], b[:1]), cdist(cloud[:3], b[:1]))
+        dense = FiniteMetricSpace.from_coordinates(cloud)
+        assert np.array_equal(dense.dist, squareform(pdist(cloud)))
+    assert np.array_equal(metric._distances(np.empty((3, 0)), np.empty((2, 0))), cdist(np.empty((3, 0)), np.empty((2, 0))))
+    lattice = sample_domain(DomainShape.shell(1, 2), 0.15)
+    assert len(lattice) == 8606 and lattice.orbits is not None
+    coords = np.asarray(lattice.points)
+    _, reps = np.unique(lattice.orbits, return_index=True)
+    assert np.array_equal(lattice.rows, cdist(coords[reps], coords))
 
 
 def test_spaces_are_frozen_and_own_their_matrix():
