@@ -532,12 +532,14 @@ def _polygcd(a, b):
     return [c / a[-1] for c in a]
 
 
+@lru_cache(maxsize=None)
 def _exact_ball_rational(n):
     """(N, D), ascending Fraction coefficients with D monic and N/D = M_{B_n}.
 
-    Raises ReconstructionError unless deg D <= (n-1)(n-3)/8, deg N = deg D + n
-    and N(k) = M(k) D(k) at CHECK_SAMPLES integer scales past the
-    interpolation nodes.
+    Cached per n, as tuples, for ``rational_reconstruct`` and the census
+    certificates.  Raises ReconstructionError unless deg D <= (n-1)(n-3)/8,
+    deg N = deg D + n and N(k) = M(k) D(k) at CHECK_SAMPLES integer scales
+    past the interpolation nodes.
     """
     nodes = _interpolation_degree(n) + 1
     samples = [_ball_sample_exact(n, k) for k in range(1, nodes + CHECK_SAMPLES + 1)]
@@ -557,7 +559,7 @@ def _exact_ball_rational(n):
     for k, (_, M) in enumerate(samples[nodes:], nodes + 1):
         if _horner(num, k) != M * _horner(den, k):
             raise ReconstructionError(f"N/D misses M_B{n} at the check scale R={k}")
-    return num, den
+    return tuple(num), tuple(den)
 
 
 def _integer_coefficients(poly):
@@ -571,6 +573,9 @@ def _integer_coefficients(poly):
 def _verified_polyroots(coeffs, max_attempts=4):
     """All roots of an integer polynomial (descending coefficients), verified.
 
+    ``mp.polyroots`` (Durand-Kerner) starts from the ``numpy.roots`` values
+    of the coefficients divided by the largest one, which no degree or
+    coefficient size can overflow; the seeds only shorten the iteration.
     Iterative root-finders can silently stagnate on clustered roots while
     reporting convergence, so the root multiset is only accepted once
     multiplying it back out reproduces the input coefficients; otherwise, or
@@ -581,15 +586,19 @@ def _verified_polyroots(coeffs, max_attempts=4):
     deg = len(coeffs) - 1
     if deg <= 0:
         return []
+    big = max(abs(c) for c in coeffs)
+    seeds = [mp.mpc(z) for z in np.roots([c / big for c in coeffs]) if np.isfinite(z)]
     # with about as many digits as the largest coefficient has, the iteration
     # stalls on the clustered roots of the census polynomials; twice that
     # converges
-    work = 2 * max(len(str(abs(c))) for c in coeffs) + 20
+    work = 2 * len(str(big)) + 20
     worst = mp.inf
     for _ in range(max_attempts):
         with mp.workdps(work):
             try:
-                roots = mp.polyroots(coeffs, maxsteps=50 * deg + 500, extraprec=work)
+                roots = mp.polyroots(
+                    coeffs, maxsteps=50 * deg + 500, extraprec=work, roots_init=seeds
+                )
             except mp.mp.NoConvergence:
                 pass  # one failed attempt
             else:
@@ -619,8 +628,8 @@ def rational_reconstruct(n: int) -> RationalFunction:
     N and D are computed exactly over the rationals from integer samples of
     the trace system: deg D <= (n-1)(n-3)/8, deg N = deg D + n, D monic.
     Only the zeros and poles come from mpmath, by ``polyroots`` on the
-    integer coefficients with a multiply-back check.  Raises
-    ReconstructionError when a check fails.
+    integer coefficients, seeded from ``numpy.roots``, with a multiply-back
+    check.  Raises ReconstructionError when a check fails.
     """
     if n < 3 or n % 2 == 0:
         raise ArgumentError("rational reconstruction needs odd n >= 3")

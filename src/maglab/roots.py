@@ -13,11 +13,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 
 from .errors import ArgumentError, DiagnosticError, PrecisionError
-from .radial import rational_reconstruct
+from .radial import _exact_ball_rational, _integer_coefficients, _polygcd, rational_reconstruct
 
 #: default contour quadrature points per rectangle side
 DEFAULT_CONTOUR_POINTS = 256
@@ -27,6 +29,9 @@ DEFAULT_MAX_DEPTH = 12
 
 #: residual bound certified for every reported root
 RESIDUAL_TOL = 1e-10
+
+#: digits for the cancellation-free sums in the census backward errors
+BACKWARD_ERROR_DPS = 40
 
 #: pairing tolerance for conjugation-symmetry checks
 CONJUGATION_TOL = 1e-9
@@ -94,7 +99,8 @@ class SearchRegion:
 class Root:
     """One located root: position, multiplicity, kind ('zero'|'pole'), residual.
 
-    The residual is |f| at zeros and |1/f| at poles.
+    The residual is |f| at zeros and |1/f| at poles; in the ball census it
+    is the backward error as a root of the numerator or the denominator.
     """
 
     location: complex
@@ -341,17 +347,87 @@ def _certified_roots(f, roots, region: SearchRegion) -> tuple:
     return _sorted_roots(certified)
 
 
+def _is_hurwitz(coeffs) -> bool:
+    """True when every root of the real polynomial lies in Re z < 0.
+
+    Routh's criterion on descending coefficients, exact for integer or
+    Fraction input: the first column of the Routh array must hold no zero
+    and no sign change.  A zero there means a root on the imaginary axis or
+    to its right.
+    """
+    prev = [Fraction(c) for c in coeffs[0::2]]
+    row = [Fraction(c) for c in coeffs[1::2]]
+    positive = prev[0] > 0
+    for _ in range(len(coeffs) - 1):
+        if row[0] == 0 or (row[0] > 0) != positive:
+            return False
+        lower = row + [Fraction(0)] * (len(prev) - len(row))
+        prev, row = row, [a - prev[0] / row[0] * b for a, b in zip(prev[1:], lower[1:])]
+    return True
+
+
+def _is_squarefree(poly) -> bool:
+    """True when the ascending Fraction polynomial has no repeated root."""
+    derivative = [k * c for k, c in enumerate(poly)][1:]
+    return len(_polygcd(poly, derivative)) == 1
+
+
+def _certify_simple_left_roots(poly, name: str) -> None:
+    """Raise DiagnosticError unless every root of poly is simple and has Re < 0.
+
+    Exact over the rationals: gcd(P, P') is a constant, and Routh's array
+    on P has a first column of one sign.
+    """
+    if not _is_squarefree(poly):
+        raise DiagnosticError(f"{name} has a repeated root")
+    if not _is_hurwitz(poly[::-1]):
+        raise DiagnosticError(f"{name} has a root in the closed right half plane")
+
+
+def _backward_errors(coeffs, points) -> list:
+    """Normwise backward error |P(z)| / sum |P_k| |z|^k of each z as a root of P.
+
+    ``coeffs`` are P's exact integer coefficients, descending.  A complex
+    double z is (x + iy)/q with integers x, y and q a power of two, so
+    q^deg P(z) is summed exactly over the Gaussian integers.  Only the
+    cancellation-free |P(z)| and sum |P_k| |z|^k are rounded, in mpmath at
+    BACKWARD_ERROR_DPS digits, so even errors far below 1e-16 keep their
+    leading digits.
+    """
+    deg = len(coeffs) - 1
+    errors = []
+    with mp.workdps(BACKWARD_ERROR_DPS):
+        sizes = [abs(c) for c in coeffs]
+        for z in points:
+            re, im = Fraction(z.real), Fraction(z.imag)
+            q = max(re.denominator, im.denominator)
+            x, y = int(re * q), int(im * q)
+            hr, hi, qj = 0, 0, 1
+            for c in coeffs:
+                hr, hi = hr * x - hi * y + c * qj, hr * y + hi * x
+                qj *= q
+            value = mp.sqrt(hr * hr + hi * hi) / mp.mpf(q) ** deg
+            errors.append(float(value / mp.polyval(sizes, abs(mp.mpc(z)))))
+    return errors
+
+
 def ball_pole_zero_census(n: int, region: SearchRegion | None = None):
     """(poles, zeros) of the rational ball magnitude function M_{B_n}.
 
     Roots are those of the exact rational form N/D from
-    ``rational_reconstruct``, extracted by verified ``polyroots``; the census
-    checks the structural bounds -- at most (n-1)(n-3)/8 poles and
-    (n+3)(n+1)/8 zeros, conjugation symmetry, and every pole in the left
-    half plane outside the sector |arg R| < pi/(n+1) -- and raises
-    DiagnosticError on violation.
+    ``rational_reconstruct``, extracted by verified ``polyroots``.  Exact
+    certificates on N and D prove every root simple (gcd(P, P') = 1 over the
+    rationals) and in the open left half plane (Routh-Hurwitz).  The census
+    also checks the structural bounds -- at most (n-1)(n-3)/8 poles and
+    (n+3)(n+1)/8 zeros, conjugation symmetry, and every pole outside the
+    sector |arg R| < pi/(n+1) -- and raises DiagnosticError on violation.
+    Each root's residual is its normwise backward error as a root of N
+    (zeros) or D (poles), and must be at most RESIDUAL_TOL.
     """
     rf = rational_reconstruct(n)
+    num, den = _exact_ball_rational(n)
+    _certify_simple_left_roots(num, f"the numerator of M_B{n}")
+    _certify_simple_left_roots(den, f"the denominator of M_B{n}")
     poles = [complex(p) for p in rf.poles]
     zeros = [complex(z) for z in rf.zeros]
     if region is None:
@@ -370,22 +446,18 @@ def ball_pole_zero_census(n: int, region: SearchRegion | None = None):
     for p in poles:
         if p.real >= 0 or abs(np.angle(p)) < sector:
             raise DiagnosticError(f"pole {p} of M_B{n} inside the sector |arg R| < pi/{n + 1}")
-    # the product-form rational function vanishes (resp. blows up) exactly at
-    # its recorded roots, so |f| at zeros and |1/f| at poles are identically 0
-    pole_set = RootSet(
-        _sorted_roots(Root(p, 1, "pole", 0.0) for p in poles),
-        region,
-        f"ball-magnitude-{n}",
-    )
-    zero_set = RootSet(
-        _sorted_roots(Root(z, 1, "zero", abs(complex(rf(z)))) for z in zeros),
-        region,
-        f"ball-magnitude-{n}",
-    )
-    for rs in (pole_set, zero_set):
+    sets = []
+    for kind, found, poly in (("pole", poles, den), ("zero", zeros, num)):
+        located = []
+        for z, residual in zip(found, _backward_errors(_integer_coefficients(poly), found)):
+            if residual > RESIDUAL_TOL:
+                raise DiagnosticError(f"{kind} {z} of M_B{n} has backward error {residual:.3e}")
+            located.append(Root(z, 1, kind, residual))
+        rs = RootSet(_sorted_roots(located), region, f"ball-magnitude-{n}")
         if not rs.is_conjugation_symmetric():
             raise DiagnosticError(f"root set of M_B{n} is not conjugation-symmetric")
-    return pole_set, zero_set
+        sets.append(rs)
+    return tuple(sets)
 
 
 # -- spherical shell pole survey -------------------------------------------

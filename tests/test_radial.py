@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from maglab import radial
@@ -175,8 +176,14 @@ def test_rational_reconstruct_argument_validation():
 def test_exact_b5_coefficients():
     # (R^6+18R^5+135R^4+525R^3+1080R^2+1080R+360) / (120 (R+3)), D monic
     num, den = radial._exact_ball_rational(5)
-    assert num == [Fraction(c, 120) for c in (360, 1080, 1080, 525, 135, 18, 1)]
-    assert den == [3, 1]
+    assert num == tuple(Fraction(c, 120) for c in (360, 1080, 1080, 525, 135, 18, 1))
+    assert den == (3, 1)
+
+
+def test_exact_rational_is_cached_and_immutable():
+    assert radial._exact_ball_rational(7) is radial._exact_ball_rational(7)
+    num, den = radial._exact_ball_rational(7)
+    assert isinstance(num, tuple) and isinstance(den, tuple)
 
 
 def test_exact_denominator_degree_meets_census_bound():
@@ -199,5 +206,74 @@ def test_exact_reconstruction_raises_on_short_interpolation(monkeypatch):
     # or the check samples must catch
     degree = radial._interpolation_degree
     monkeypatch.setattr(radial, "_interpolation_degree", lambda n: degree(n) - 20)
+    radial._exact_ball_rational.cache_clear()  # a cached N/D would hide the bad nodes
+    try:
+        with pytest.raises(ReconstructionError):
+            rational_reconstruct(9)
+    finally:
+        radial._exact_ball_rational.cache_clear()
+
+
+# -- seeded, verified root extraction ----------------------------------------
+
+
+def _unseeded_polyroots(monkeypatch):
+    """Make mp.polyroots ignore roots_init, as before it was seeded."""
+    plain = mpmath.polyroots
+
+    def without_seeds(*args, roots_init=None, **kwargs):
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", without_seeds)
+
+
+def _census_coefficients(n):
+    return [radial._integer_coefficients(p) for p in radial._exact_ball_rational(n)]
+
+
+def test_seeded_roots_equal_unseeded_roots(monkeypatch):
+    key = lambda z: (z.imag, z.real)
+    for n in (5, 7, 9, 11):
+        for coeffs in _census_coefficients(n):
+            seeded = sorted((complex(z) for z in radial._verified_polyroots(coeffs)), key=key)
+            with monkeypatch.context() as m:
+                _unseeded_polyroots(m)
+                plain = sorted((complex(z) for z in radial._verified_polyroots(coeffs)), key=key)
+            assert seeded == plain  # bit for bit, as complex doubles
+
+
+def test_polyroots_starts_from_one_seed_per_root(monkeypatch):
+    calls = []
+    plain = mpmath.polyroots
+
+    def spy(coeffs, **kwargs):
+        calls.append(kwargs)
+        return plain(coeffs, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", spy)
+    num, _ = _census_coefficients(9)
+    radial._verified_polyroots(num)
+    assert calls
+    for kwargs in calls:
+        seeds = kwargs["roots_init"]
+        assert len(seeds) == len(num) - 1
+        assert all(isinstance(z, mpmath.mpc) for z in seeds)
+
+
+def test_perturbed_roots_fail_verification(monkeypatch):
+    plain = mpmath.polyroots
+    monkeypatch.setattr(
+        mpmath, "polyroots", lambda *a, **k: [z * (1 + mpmath.mpf(10) ** -12) for z in plain(*a, **k)]
+    )
+    _, den = _census_coefficients(9)
     with pytest.raises(ReconstructionError):
-        rational_reconstruct(9)
+        radial._verified_polyroots(den)
+
+
+def test_huge_coefficients_do_not_overflow_the_seeds():
+    # (x + 1)(x + 2)(x + 3) times 10^400, plus one in the constant term: no
+    # coefficient fits a double, yet the seeds and the roots must come out
+    big = 10**400
+    coeffs = [big, 6 * big, 11 * big, 6 * big + 1]
+    roots = sorted(complex(z).real for z in radial._verified_polyroots(coeffs))
+    assert roots == pytest.approx([-3.0, -2.0, -1.0], abs=1e-12)

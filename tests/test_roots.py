@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from maglab.errors import ArgumentError, PrecisionError
+from maglab import radial, roots
+from maglab.errors import ArgumentError, DiagnosticError, PrecisionError
 from maglab.roots import (
     SearchRegion,
     ball_pole_zero_census,
@@ -99,6 +102,52 @@ def test_census_b5():
     assert poles.roots[0].location == pytest.approx(-3.0 + 0j, abs=1e-8)
     assert poles.is_conjugation_symmetric()
     assert zeros.is_conjugation_symmetric()
+
+
+def _ascending(*descending):
+    return tuple(Fraction(c) for c in reversed(descending))
+
+
+def test_census_certificates_reject_bad_roots():
+    right = _ascending(1, -1, 1)  # x^2 - x + 1: roots in Re > 0
+    axis = _ascending(1, 1, 1, 1)  # x^3 + x^2 + x + 1: roots -1 and +-i
+    double = _ascending(1, 2, 1)  # (x + 1)^2: a double root at -1
+    assert not roots._is_hurwitz(right[::-1]) and roots._is_squarefree(right)
+    assert not roots._is_hurwitz(axis[::-1]) and roots._is_squarefree(axis)
+    assert roots._is_hurwitz(double[::-1]) and not roots._is_squarefree(double)
+    for poly in (right, axis, double):
+        with pytest.raises(DiagnosticError):
+            roots._certify_simple_left_roots(poly, "P")
+    roots._certify_simple_left_roots(_ascending(1, 3, 2), "P")  # (x + 1)(x + 2)
+
+
+def test_census_certificates_hold_for_ball_rationals():
+    for n in (3, 5, 7, 9, 11, 13):
+        for poly in radial._exact_ball_rational(n):
+            assert roots._is_squarefree(poly)
+            assert roots._is_hurwitz(poly[::-1])
+
+
+def test_census_residuals_are_backward_errors():
+    poles, zeros = ball_pole_zero_census(9)
+    for rs in (poles, zeros):
+        assert len(rs) > 0
+        assert all(0 < r.residual < 1e-12 for r in rs)
+    # a root moved by 1e-10 of its size has a much larger backward error
+    num, _ = radial._exact_ball_rational(9)
+    z = zeros.roots[0].location
+    coeffs = radial._integer_coefficients(num)
+    moved = roots._backward_errors(coeffs, [z * (1 + 1e-10)])[0]
+    assert moved > 1e3 * zeros.roots[0].residual
+
+
+def test_census_rejects_a_root_with_a_large_backward_error(monkeypatch):
+    rf = radial.rational_reconstruct(7)
+    off = rf.poles[0] * (1 + 1e-6)
+    spoiled = type(rf)(rf.numerator, rf.denominator, rf.zeros, (off,) + rf.poles[1:], rf.lead)
+    monkeypatch.setattr(roots, "rational_reconstruct", lambda n: spoiled)
+    with pytest.raises(DiagnosticError, match="backward error"):
+        ball_pole_zero_census(7)
 
 
 def test_census_b3_has_no_poles():
