@@ -36,12 +36,26 @@ from .radial import ball_magnitude, shell_deviation_report, shell_magnitude
 from .roots import SearchRegion, ball_pole_zero_census, shell_pole_survey, write_roots_csv
 
 
+def _finite_fields(flag: str, text: str, fields) -> list[float]:
+    """The colon-separated ``fields`` of option ``flag`` as finite floats."""
+    try:
+        values = [float(field) for field in fields]
+    except ValueError:
+        raise ArgumentError(f"{flag} fields must be numbers, got {text!r}") from None
+    if not all(np.isfinite(values)):
+        raise ArgumentError(f"{flag} fields must be finite, got {text!r}")
+    return values
+
+
 def _parse_r_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise ArgumentError(f"--r-grid expects start:stop:count[:log], got {text!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    start, stop = _finite_fields("--r-grid", text, parts[:2])
+    try:
+        count = int(parts[2])
+    except ValueError:
+        raise ArgumentError(f"--r-grid count must be an integer, got {parts[2]!r}") from None
     if count < 1:
         raise ArgumentError("--r-grid count must be >= 1")
     if len(parts) == 4:
@@ -57,8 +71,7 @@ def _parse_rect(text: str) -> SearchRegion:
     parts = text.split(":")
     if len(parts) != 4:
         raise ArgumentError(f"--rect expects x0:x1:y0:y1, got {text!r}")
-    x0, x1, y0, y1 = map(float, parts)
-    return SearchRegion(x0, x1, y0, y1)
+    return SearchRegion(*_finite_fields("--rect", text, parts))
 
 
 def _fmt(value) -> str:

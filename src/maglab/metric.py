@@ -10,14 +10,25 @@ hence constant on the orbits of any isometry group that maps the space onto
 itself.  A space that carries such an orbit labelling holds only the K x N
 distance rows of one representative per orbit, never the N x N matrix, and
 is solved with one unknown per orbit (see ``weighting``).
+
+The dense LAPACK work (Cholesky factor, condition estimate and solve, the LU
+fallback, the smallest eigenvalue) calls scipy's compiled f2py wrappers in
+``scipy.linalg._flapack`` directly, with the arguments ``scipy.linalg`` would
+pass, so the results are the ones it would return.  That module is loaded
+from its file: importing the ``scipy.linalg`` package would first load
+scipy's array-API layer (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``),
+which costs every maglab process about 0.2 s before it computes anything.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ArgumentError, SolveError
 
@@ -31,6 +42,37 @@ CONDITION_LIMIT = 1e12
 TRIANGLE_BLOCK_BYTES = 32 * 2**20
 #: bytes of each block of distance rows built at once from coordinates
 DISTANCE_BLOCK_BYTES = 2**19
+
+
+def _load_flapack():
+    """scipy's ``scipy.linalg._flapack`` extension, without running ``scipy/linalg/__init__.py``.
+
+    The module is registered in ``sys.modules`` under its own name, so a later
+    ``import scipy.linalg`` in the same process shares it.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    for location in scipy.submodule_search_locations if scipy else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(location, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[name] = module
+                return module
+    raise ImportError(f"maglab needs scipy's LAPACK wrappers {name}, which were not found", name=name)
+
+
+_lapack = _load_flapack()
+
+
+def _lapack_info(routine, info):
+    """Raise on a negative LAPACK ``info``: an illegal argument, a maglab bug."""
+    if info < 0:
+        raise ValueError(f"LAPACK {routine}: illegal value in argument {-info}")
 
 
 @dataclass(frozen=True)
@@ -169,6 +211,12 @@ class Weighting:
     residual: float
 
 
+def _check_scale(scale):
+    """Reject a scale that is not finite and positive: inf * 0 puts NaN in Z, which LAPACK takes."""
+    if not (np.isfinite(scale) and scale > 0):
+        raise ArgumentError(f"scale must be finite and positive, got {scale!r}")
+
+
 def similarity_matrix(space: FiniteMetricSpace, scale) -> np.ndarray:
     """Z with entries exp(-scale * d(x, y)); symmetric with unit diagonal.
 
@@ -177,8 +225,7 @@ def similarity_matrix(space: FiniteMetricSpace, scale) -> np.ndarray:
     """
     if space.dist is None:
         raise ArgumentError("a space with orbits has no dense similarity matrix")
-    if scale <= 0:
-        raise ArgumentError("scale must be positive")
+    _check_scale(scale)
     return np.exp(-scale * space.dist)
 
 
@@ -192,22 +239,30 @@ def _solve_similarity(z, rhs):
     keeps the residual at the round-off floor.  The caller judges the
     condition number.
     """
-    try:
-        factor, lower = sla.cho_factor(z, check_finite=False)
-    except sla.LinAlgError:
-        lu = sla.lu_factor(z, check_finite=False)
-        cond = np.linalg.cond(z, 1)
-
-        def solve(b):
-            return sla.lu_solve(lu, b, check_finite=False)
-
-    else:
+    # upper factor, lower triangle left as it was: scipy's cho_factor
+    factor, info = _lapack.dpotrf(z, lower=0, clean=0)
+    _lapack_info("dpotrf", info)
+    if info == 0:
         # Z's entries are exponentials, so its 1-norm is its largest column sum
-        rcond, _ = sla.lapack.dpocon(factor, z.sum(axis=0).max(), uplo="L" if lower else "U")
+        rcond, info = _lapack.dpocon(factor, z.sum(axis=0).max(), uplo="U")
+        _lapack_info("dpocon", info)
         cond = 1.0 / rcond if rcond > 0 else np.inf
 
         def solve(b):
-            return sla.cho_solve((factor, lower), b, check_finite=False)
+            x, info = _lapack.dpotrs(factor, b, lower=0)
+            _lapack_info("dpotrs", info)
+            return x
+
+    else:  # a leading minor is not positive definite
+        # a positive info is an exact zero pivot: cond is then inf, which the caller rejects
+        lu, piv, info = _lapack.dgetrf(z)
+        _lapack_info("dgetrf", info)
+        cond = np.linalg.cond(z, 1)
+
+        def solve(b):
+            x, info = _lapack.dgetrs(lu, piv, b)
+            _lapack_info("dgetrs", info)
+            return x
 
     x = solve(rhs)
     x += solve(rhs - z @ x)
@@ -234,8 +289,7 @@ def weighting(space: FiniteMetricSpace, scale) -> Weighting:
         z = similarity_matrix(space, scale)
         w, cond = _solve_similarity(z, np.ones(len(space)))
     else:
-        if scale <= 0:
-            raise ArgumentError("scale must be positive")
+        _check_scale(scale)
         orbits = space.orbits
         sizes = np.bincount(orbits)
         k = len(sizes)
@@ -270,12 +324,18 @@ def is_positive_definite(space: FiniteMetricSpace, scale):
     of the (small, dense) matrix.
     """
     z = similarity_matrix(space, scale)
-    lam_min = float(sla.eigvalsh(z, subset_by_index=[0, 0])[0])
-    try:
-        sla.cho_factor(z, check_finite=False)
-    except sla.LinAlgError:
-        return False, lam_min
-    return True, lam_min
+    # scipy's eigvalsh(z, subset_by_index=[0, 0]): dsyevr on the lower triangle
+    lwork, liwork, info = _lapack.dsyevr_lwork(len(z), lower=1)
+    _lapack_info("dsyevr_lwork", info)
+    w, *_, info = _lapack.dsyevr(
+        z, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=int(lwork), liwork=int(liwork)
+    )
+    _lapack_info("dsyevr", info)
+    if info > 0:
+        raise SolveError(f"symmetric eigensolve failed to converge (LAPACK dsyevr info {info})", scale=float(scale))
+    _, info = _lapack.dpotrf(z, lower=0, clean=0)
+    _lapack_info("dpotrf", info)
+    return info == 0, float(w[0])
 
 
 def magnitude_sweep(space: FiniteMetricSpace, scales):
@@ -300,11 +360,15 @@ def read_point_rows(path_or_lines):
     """The rows of a point file, parsed and shape-checked but not validated.
 
     Returns ``(N, rows)`` for a ``matrix N`` block and ``(None, rows)`` for
-    coordinate rows, which all have the same length.
+    coordinate rows, which all have the same length.  A path that is missing
+    or names a directory is an ArgumentError.
     """
     if isinstance(path_or_lines, (str, bytes)):
-        with open(path_or_lines) as fh:
-            lines = fh.read().splitlines()
+        try:
+            with open(path_or_lines) as fh:
+                lines = fh.read().splitlines()
+        except (FileNotFoundError, NotADirectoryError, IsADirectoryError) as exc:
+            raise ArgumentError(f"cannot read point file {path_or_lines!r}: {exc.strerror}") from exc
     else:
         lines = list(path_or_lines)
     rows = [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]

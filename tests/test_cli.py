@@ -105,6 +105,15 @@ def test_usage_errors_exit_2(tmp_path):
     ragged.write_text("0 0\n1 0 0\n")
     assert run(tmp_path, "finite", "--points", str(ragged)) == 2
     assert run(tmp_path, "cloud", "--shape", "ball", "--n", "3", "--levels", "2") == 2
+    for argv in (
+        ["ball", "--r-grid", "a:1:3"],
+        ["ball", "--r-grid", "0.1:1:x"],
+        ["ball", "--r-grid", "1:inf:3"],
+        ["poles", "--rect", "a:b:c:d"],
+        ["finite", "--points", str(tmp_path / "missing.txt")],
+        ["finite", "--points", str(tmp_path)],
+    ):
+        assert run(tmp_path, *argv) == 2, argv
 
 
 def test_invalid_shape_is_usage_error(tmp_path):

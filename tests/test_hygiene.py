@@ -41,9 +41,14 @@ def test_no_unused_imports_in_package():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-def test_startup_loads_no_scipy_spatial_or_special():
-    # every maglab process pays for its imports; scipy.linalg is the one scipy module needed
-    probe = "import sys, maglab, maglab.cli; print(sorted(m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules))"
+def test_startup_loads_only_scipy_lapack_wrappers():
+    # every maglab process pays for its imports: metric loads scipy's compiled
+    # LAPACK wrappers alone, not the scipy.linalg package and its array-API layer
+    banned = ("scipy.linalg", "scipy._lib._array_api", "scipy.spatial", "scipy.special")
+    probe = (
+        "import sys, maglab, maglab.cli; "
+        f"print(sorted(m for m in {banned!r} if m in sys.modules), 'scipy.linalg._flapack' in sys.modules)"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "[] True"

@@ -168,6 +168,43 @@ def test_distances_match_scipy_bit_for_bit():
     assert np.array_equal(lattice.rows, cdist(coords[reps], coords))
 
 
+def test_lapack_calls_match_scipy_linalg():
+    # maglab calls scipy's LAPACK wrappers directly; scipy.linalg itself is the reference
+    import scipy.linalg as sla
+
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 50, 300, 1000):
+        space = FiniteMetricSpace.from_coordinates(rng.standard_normal((n, 3)))
+        for scale in (0.3, 3.0):
+            z, rhs = similarity_matrix(space, scale), np.ones(n)
+            x, cond = metric._solve_similarity(z, rhs)
+            factor = sla.cho_factor(z, check_finite=False)
+            want = sla.cho_solve(factor, rhs, check_finite=False)
+            want += sla.cho_solve(factor, rhs - z @ want, check_finite=False)
+            rcond, info = sla.lapack.dpocon(factor[0], z.sum(axis=0).max(), uplo="L" if factor[1] else "U")
+            assert info == 0 and np.array_equal(x, want)
+            # dpocon's last bits follow OpenBLAS's state between calls, not the arguments:
+            # two processes running the same calls differ by up to a few ulps
+            assert cond == pytest.approx(1 / rcond, rel=1e-14, abs=0)
+            assert is_positive_definite(space, scale) == (True, sla.eigvalsh(z, subset_by_index=[0, 0])[0])
+    # the complete bipartite graph K_{3,3} (distance 1 across, 2 within a side) is
+    # not positive definite at small scales: the solve falls back to pivoted LU
+    d = np.where(np.arange(6)[:, None] // 3 == np.arange(6) // 3, 2.0, 1.0) - 2 * np.eye(6)
+    k33 = FiniteMetricSpace(list(range(6)), d)
+    for scale in (0.1, 0.3):
+        z, rhs = similarity_matrix(k33, scale), np.ones(6)
+        with pytest.raises(sla.LinAlgError):
+            sla.cho_factor(z, check_finite=False)
+        x, cond = metric._solve_similarity(z, rhs)
+        lu = sla.lu_factor(z, check_finite=False)
+        want = sla.lu_solve(lu, rhs, check_finite=False)
+        want += sla.lu_solve(lu, rhs - z @ want, check_finite=False)
+        assert np.array_equal(x, want) and cond == np.linalg.cond(z, 1)
+        assert is_positive_definite(k33, scale) == (False, sla.eigvalsh(z, subset_by_index=[0, 0])[0])
+    # an exact zero pivot leaves the condition number infinite, which weighting rejects
+    assert metric._solve_similarity(np.ones((2, 2)), np.ones(2))[1] == np.inf
+
+
 def test_spaces_are_frozen_and_own_their_matrix():
     dist = np.array([[0.0, 2.0], [2.0, 0.0]])
     outside = FiniteMetricSpace([0, 1], dist)
@@ -201,10 +238,9 @@ def test_scale_must_be_positive():
         FiniteMetricSpace.from_coordinates([[0.0], [1.0]]),
         FiniteMetricSpace.from_coordinates([[-1.0], [1.0]], orbits=[0, 0]),
     ):
-        with pytest.raises(ArgumentError):
-            magnitude(space, 0.0)
-        with pytest.raises(ArgumentError):
-            magnitude(space, -1.0)
+        for scale in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ArgumentError, match="finite and positive"):
+                magnitude(space, scale)
 
 
 def test_orbit_weighting_of_two_points():
