@@ -23,6 +23,7 @@ import numpy as np
 
 from .cloud import DomainShape
 from .errors import ArgumentError, MeshError, PrecisionError
+from .metric import _read_lines
 
 #: dihedral deviation (radians) beyond which a mesh is flagged as non-smooth
 SMOOTHNESS_ANGLE = 0.8
@@ -291,8 +292,7 @@ def cube_mesh(side: float = 1.0) -> SurfaceMesh:
 def read_off(path_or_lines) -> SurfaceMesh:
     """Read a triangle mesh from the OFF subset (triangular faces only)."""
     if isinstance(path_or_lines, (str,)) and "\n" not in path_or_lines:
-        with open(path_or_lines) as fh:
-            lines = fh.read().splitlines()
+        lines = _read_lines(path_or_lines, "OFF file")
     elif isinstance(path_or_lines, str):
         lines = path_or_lines.splitlines()
     else:

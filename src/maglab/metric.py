@@ -102,6 +102,8 @@ class FiniteMetricSpace:
         if not _trusted:
             dist = np.array(dist, dtype=float)
             n = len(points)
+            if not n:
+                raise ArgumentError("a metric space needs at least one point")
             if dist.shape != (n, n):
                 raise ArgumentError(f"distance matrix shape {dist.shape} does not match {n} points")
             if not np.isfinite(dist).all():
@@ -144,6 +146,8 @@ class FiniteMetricSpace:
         only the K representative rows of the distance matrix.
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        if not coords.size:  # no rows, or [] read as one row of no coordinates
+            raise ArgumentError("a metric space needs at least one point")
         if not np.isfinite(coords).all():
             raise ArgumentError("coordinates have non-finite entries")
         pts = labels if labels is not None else [tuple(row) for row in coords]
@@ -364,11 +368,7 @@ def read_point_rows(path_or_lines):
     or names a directory is an ArgumentError.
     """
     if isinstance(path_or_lines, (str, bytes)):
-        try:
-            with open(path_or_lines) as fh:
-                lines = fh.read().splitlines()
-        except (FileNotFoundError, NotADirectoryError, IsADirectoryError) as exc:
-            raise ArgumentError(f"cannot read point file {path_or_lines!r}: {exc.strerror}") from exc
+        lines = _read_lines(path_or_lines, "point file")
     else:
         lines = list(path_or_lines)
     rows = [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
@@ -389,6 +389,16 @@ def read_point_rows(path_or_lines):
     if len({len(r) for r in coords}) != 1:
         raise ArgumentError("point rows have differing numbers of coordinates")
     return None, coords
+
+
+def _read_lines(path, kind):
+    """Lines of the text file at ``path``; a missing path or a directory is an
+    ArgumentError naming the ``kind`` of file and the path."""
+    try:
+        with open(path) as fh:
+            return fh.read().splitlines()
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError) as exc:
+        raise ArgumentError(f"cannot read {kind} {path!r}: {exc.strerror}") from exc
 
 
 def _parse_row(text):

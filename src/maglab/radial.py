@@ -7,14 +7,17 @@ collapses to an m x m linear system over exponential-polynomial kernel bases,
 so every value of the magnitude function, at any complex scale away from the
 resonances of the trace system, is computed in closed form.
 
-All arithmetic is generic over Python complex / mpmath, so the same code path
-supports double precision and high-precision solves.  The ball magnitude is
-also available exactly, as a rational function of R with rational
-coefficients (``rational_reconstruct``).
+The trace solve is generic over Python complex / mpmath; shells use it in
+doubles, balls only in mpmath (``ball_magnitude(..., dps=...)``), where it is
+the independent reference.  In doubles a ball magnitude is its exact rational
+form N/D (rational coefficients, ``rational_reconstruct``) evaluated by
+Horner's rule under an error bound: a value either meets the bound or is
+computed from the exact N/D.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +33,9 @@ from .expopoly import ExpoPoly, RadialOperatorSpec, decaying_basis, regular_basi
 RESONANCE_CONDITION_LIMIT = 1e12
 #: accepted trace residual, relative to max(1, |data|)
 TRACE_RTOL = 1e-9
+#: running relative error bound above which a double-precision ball value is
+#: taken from the exact N/D instead
+HORNER_RTOL = 1e-12
 
 EXTERIOR = "exterior"
 INTERIOR = "interior"
@@ -213,11 +219,11 @@ def _boundary_term(spec, sol, rho, R):
 def ball_magnitude(n: int, R, *, dps=None):
     """Magnitude of the radius-R rescaling of the unit n-ball, n odd.
 
-    n = 1 is the classical closed form R + 1; n >= 3 solves the exterior
-    boundary problem over the decaying kernel basis.  With ``dps`` set, the
-    solve runs in mpmath arithmetic at that precision (needed for reliable
-    values at n >= 11, where the trace system is badly conditioned in
-    doubles); the result is returned as a Python complex.
+    n = 1 is the classical closed form R + 1.  For n >= 3 the value is the
+    exact rational form N/D evaluated in doubles (``_ball_value``), returned
+    as a Python complex.  With ``dps`` set it is instead the exterior trace
+    solve in mpmath arithmetic at that precision, which shares no code with
+    N/D and serves as the reference for it.
     """
     if n < 1 or n % 2 == 0:
         raise ArgumentError(f"dimension must be odd and >= 1, got {n}")
@@ -229,7 +235,7 @@ def ball_magnitude(n: int, R, *, dps=None):
         with mp.workdps(dps):
             val = _ball_magnitude_at(n, mp.mpc(R))
             return complex(val)
-    return _ball_magnitude_at(n, complex(R))
+    return _ball_value(n, complex(R))
 
 
 def _ball_magnitude_at(n, R):
@@ -560,6 +566,129 @@ def _exact_ball_rational(n):
         if _horner(num, k) != M * _horner(den, k):
             raise ReconstructionError(f"N/D misses M_B{n} at the check scale R={k}")
     return tuple(num), tuple(den)
+
+
+# -- M_{B_n} = N/D in double precision ---------------------------------------
+#
+# Horner's rule in doubles on coefficients rounded to doubles has relative
+# error at most 8 (d + 1) u sum |c_k||x|^k / |p(x)|, u = 2^-53, for a degree-d
+# polynomial (Higham, Accuracy and Stability of Numerical Algorithms, 5.1);
+# the factor 8 covers the rounding of complex products and quotients.  The
+# Horner pass computes this running bound alongside the value.  For odd
+# n <= 21 every coefficient of N and D is positive, so on R > 0 no term
+# cancels, sum |c_k||x|^k = p(x) and the bound of N/D is the constant
+# 8 (deg N + deg D + 2) u, 1.0e-13 at n = 21: such values always stay in
+# doubles, within (2 deg N + 2 deg D + 3) u plus about 3u for the factor
+# R^(deg N - deg D) = R^n.  Where terms cancel the bound grows; above
+# HORNER_RTOL the value is taken from the exact N/D instead.
+
+
+@lru_cache(maxsize=None)
+def _ball_rational_doubles(n):
+    """(N, D): ``_exact_ball_rational(n)`` rounded to doubles."""
+    num, den = _exact_ball_rational(n)
+    return tuple(map(float, num)), tuple(map(float, den))
+
+
+def _horner_scaled(coeffs, x):
+    """(p, s) with p = sum c_k x^k and s = sum |c_k| |x|^k by Horner's rule.
+
+    For |x| > 1 both are divided by x^deg (s by |x|^deg), evaluated in 1/x
+    over the reversed coefficients by dividing by x at each step, so no power
+    of x is formed and none overflows.
+    """
+    r = abs(x)
+    p, s = 0 * x, 0 * r
+    if r <= 1:
+        for c in reversed(coeffs):
+            p = p * x + c
+            s = s * r + abs(c)
+    else:
+        for c in coeffs:
+            p = p / x + c
+            s = s / r + abs(c)
+    return p, s
+
+
+def _running_bound(coeffs, p, s):
+    # relative error bound of Horner's double-precision value p
+    return 8 * len(coeffs) * 2.0**-53 * s / abs(p) if p else math.inf
+
+
+def _ball_value(n, R):
+    """M_{B_n}(R) for a nonzero finite complex R, from N/D in doubles.
+
+    A value whose running bound exceeds HORNER_RTOL is taken from the exact
+    N/D by ``_ball_value_exact``.  A value beyond the double range is an
+    ArgumentError.
+    """
+    if not cmath.isfinite(R):
+        raise ArgumentError(f"R must be finite, got {R}")
+    num, den = _ball_rational_doubles(n)
+    x = R.real if R.imag == 0 else R
+    try:
+        (pn, sn), (pd, sd) = _horner_scaled(num, x), _horner_scaled(den, x)
+        if _running_bound(num, pn, sn) + _running_bound(den, pd, sd) <= HORNER_RTOL:
+            value = _quotient(pn, pd, x, len(num) - len(den))
+        else:
+            value = _ball_value_exact(n, R)
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise ArgumentError(f"M_B{n} exceeds the double range at R={R}")
+    return value
+
+
+def _quotient(pn, pd, x, k):
+    """N/D from Horner's values; in the 1/x form, times x^k, k = deg N - deg D.
+
+    With |x| = f 2^e, 1/2 <= f < 1, x^k is (x 2^-e)^k 2^(ek): the power
+    cannot overflow, and only a value beyond the double range raises
+    OverflowError, in ``ldexp``.
+    """
+    value = complex(pn / pd)
+    if abs(x) > 1:
+        e = math.frexp(abs(x))[1]
+        value *= (x * 2.0**-e) ** k
+        value = complex(math.ldexp(value.real, e * k), math.ldexp(value.imag, e * k))
+    return value
+
+
+def _ball_value_exact(n, R):
+    """M_{B_n}(R) from the exact N/D at the complex double R.
+
+    N(R) and D(R) are summed exactly over the Gaussian integers
+    (``_gaussian_horner``) and each part of their quotient is rounded once,
+    correctly; beyond the double range that raises OverflowError.  An exact
+    zero of D is a pole: ResonanceError.
+    """
+    num, den = _exact_ball_rational(n)
+    scale = math.lcm(*(c.denominator for c in num + den))
+    (nr, ni, q), (dr, di, _) = (
+        _gaussian_horner([int(c * scale) for c in reversed(poly)], R) for poly in (num, den)
+    )
+    if dr == di == 0:
+        raise ResonanceError(f"M_B{n} has a pole at R={R}", scale=R)
+    # N/D = (nr + i ni)(dr - i di) / ((dr^2 + di^2) q^(deg N - deg D))
+    size = (dr * dr + di * di) * q ** (len(num) - len(den))
+    return complex((nr * dr + ni * di) / size, (ni * dr - nr * di) / size)
+
+
+def _gaussian_horner(coeffs, z):
+    """(hr, hi, q) with q^deg P(z) = hr + i hi exactly.
+
+    ``coeffs`` are P's integer coefficients, descending.  A complex double z
+    is (x + iy)/q with integers x, y and q a power of two, so Horner's rule
+    on q^deg P(z) runs over the Gaussian integers without rounding.
+    """
+    re, im = Fraction(z.real), Fraction(z.imag)
+    q = max(re.denominator, im.denominator)
+    x, y = int(re * q), int(im * q)
+    hr, hi, qj = 0, 0, 1
+    for c in coeffs:
+        hr, hi = hr * x - hi * y + c * qj, hr * y + hi * x
+        qj *= q
+    return hr, hi, q
 
 
 def _integer_coefficients(poly):

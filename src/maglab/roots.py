@@ -19,7 +19,13 @@ import mpmath as mp
 import numpy as np
 
 from .errors import ArgumentError, DiagnosticError, PrecisionError
-from .radial import _exact_ball_rational, _integer_coefficients, _polygcd, rational_reconstruct
+from .radial import (
+    _exact_ball_rational,
+    _gaussian_horner,
+    _integer_coefficients,
+    _polygcd,
+    rational_reconstruct,
+)
 
 #: default contour quadrature points per rectangle side
 DEFAULT_CONTOUR_POINTS = 256
@@ -389,23 +395,17 @@ def _backward_errors(coeffs, points) -> list:
 
     ``coeffs`` are P's exact integer coefficients, descending.  A complex
     double z is (x + iy)/q with integers x, y and q a power of two, so
-    q^deg P(z) is summed exactly over the Gaussian integers.  Only the
-    cancellation-free |P(z)| and sum |P_k| |z|^k are rounded, in mpmath at
-    BACKWARD_ERROR_DPS digits, so even errors far below 1e-16 keep their
-    leading digits.
+    q^deg P(z) is summed exactly over the Gaussian integers
+    (``_gaussian_horner``).  Only the cancellation-free |P(z)| and
+    sum |P_k| |z|^k are rounded, in mpmath at BACKWARD_ERROR_DPS digits, so
+    even errors far below 1e-16 keep their leading digits.
     """
     deg = len(coeffs) - 1
     errors = []
     with mp.workdps(BACKWARD_ERROR_DPS):
         sizes = [abs(c) for c in coeffs]
         for z in points:
-            re, im = Fraction(z.real), Fraction(z.imag)
-            q = max(re.denominator, im.denominator)
-            x, y = int(re * q), int(im * q)
-            hr, hi, qj = 0, 0, 1
-            for c in coeffs:
-                hr, hi = hr * x - hi * y + c * qj, hr * y + hi * x
-                qj *= q
+            hr, hi, q = _gaussian_horner(coeffs, z)
             value = mp.sqrt(hr * hr + hi * hi) / mp.mpf(q) ** deg
             errors.append(float(value / mp.polyval(sizes, abs(mp.mpc(z)))))
     return errors

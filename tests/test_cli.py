@@ -4,6 +4,7 @@ import math
 import pytest
 
 from maglab.cli import main
+from maglab.radial import ball_magnitude
 
 
 def run(tmp_path, *args):
@@ -29,6 +30,19 @@ def test_ball_csv_matches_closed_form(tmp_path):
     for row in rows:
         R, M = (float(v) for v in row.split(","))
         assert M == pytest.approx(R**3 / 6 + R**2 + 2 * R + 1, rel=1e-10)
+
+
+def test_ball_and_compare_at_high_dimension(tmp_path):
+    for argv, table, n in (
+        (["ball", "--n", "13", "--r-grid", "0.1:20:50"], "ball.csv", 13),
+        (["compare", "--n", "11", "--r-grid", "1:20:20"], "compare.csv", 11),
+    ):
+        assert run(tmp_path, *argv) == 0, argv
+        rows = (tmp_path / table).read_text().splitlines()[1:]
+        for row in rows[::5]:
+            R, M = (float(v) for v in row.split(",")[:2])
+            ref = complex(ball_magnitude(n, R, dps=50)).real
+            assert M == pytest.approx(ref, rel=1e-12), (table, R)
 
 
 def test_ball_rerun_byte_identical(tmp_path):

@@ -266,7 +266,7 @@ def test_off_roundtrip(tmp_path):
     assert np.array_equal(back.triangles, mesh.triangles)
 
 
-def test_read_off_validation():
+def test_read_off_validation(tmp_path):
     with pytest.raises(MeshError):
         read_off(["NOFF", "0 0 0"])
     for lines in (
@@ -283,6 +283,10 @@ def test_read_off_validation():
         read_off(tetra)
     tetra[5] = "0 0 1"
     assert read_off(tetra).volume == pytest.approx(1 / 6)
+    # a missing path or a directory is named in an ArgumentError
+    for path in (str(tmp_path / "missing.off"), str(tmp_path)):
+        with pytest.raises(ArgumentError, match="cannot read OFF file"):
+            read_off(path)
 
 
 def test_fit_recovers_polynomial_coefficients():

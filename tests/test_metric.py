@@ -124,6 +124,11 @@ def test_validation_rejects_bad_matrices():
         # the distances are built in row blocks; the copy's row lies past the first
         (lambda: FiniteMetricSpace.from_coordinates(np.r_[np.arange(300.0), 0.0][:, None]), "duplicate"),
         (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]], labels=["a"]), "labels"),
+        # an empty space, on every construction path
+        (lambda: FiniteMetricSpace([], np.zeros((0, 0))), "at least one point"),
+        (lambda: FiniteMetricSpace.from_coordinates(np.zeros((0, 3))), "at least one point"),
+        (lambda: FiniteMetricSpace.from_coordinates([]), "at least one point"),
+        (lambda: FiniteMetricSpace.from_coordinates(np.zeros((0, 3)), orbits=[]), "at least one point"),
         (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]]).rescaled(np.nan), "finite and positive"),
         (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]]).rescaled(np.inf), "finite and positive"),
         (lambda: FiniteMetricSpace.from_coordinates([[0.0], [1.0]]).rescaled(0.0), "finite and positive"),

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from maglab import radial
-from maglab.errors import ArgumentError, ReconstructionError
+from maglab.cloud import DomainShape
+from maglab.errors import ArgumentError, ReconstructionError, ResonanceError
+from maglab.invariants import asymptotic_polynomial, invariants_analytic
 from maglab.radial import (
     ball_magnitude,
     exterior_trace_determinant,
@@ -62,13 +65,111 @@ def test_ball_high_precision_path_agrees():
 
 
 def test_ball_large_scale_stays_accurate_in_doubles():
-    # high-order trace rows dwarf the data at large R; the solve must not be
-    # rejected as long as its backward error is sound
-    for n in (3, 5, 7, 9):
+    # N/D in 1/R forms no power of R, and the dps = 60 trace solve is the
+    # independent reference
+    for n in (3, 5, 7, 9, 11, 13):
         val = complex(ball_magnitude(n, 150.0)).real
         ref = complex(ball_magnitude(n, 150.0, dps=60)).real
-        # round-off grows with the trace order; n=9 lands near 1.5e-8
-        assert val == pytest.approx(ref, rel=1e-7)
+        assert val == pytest.approx(ref, rel=1e-12)
+
+
+def test_ball_doubles_meet_the_a_priori_bound_on_the_positive_axis():
+    u = 2.0**-53
+    grid = [float(R) for R in np.linspace(0.1, 20.0, 400)] + [1e3]
+    for n in range(3, 22, 2):
+        num, den = radial._exact_ball_rational(n)
+        bound = (2 * (len(num) - 1) + 2 * (len(den) - 1) + 1) * u
+        for R in grid:
+            x = Fraction(R)
+            exact = radial._horner(num, x) / radial._horner(den, x)
+            val = complex(ball_magnitude(n, R))
+            assert val.imag == 0
+            assert abs(Fraction(val.real) - exact) <= bound * exact, (n, R)
+
+
+def _mp_horner_value(n, R, dps=80):
+    num, den = radial._exact_ball_rational(n)
+    with mpmath.workdps(dps):
+        x = mpmath.mpc(R)
+        at = lambda poly: radial._horner([mpmath.mpf(c.numerator) / c.denominator for c in poly], x)
+        return complex(at(num) / at(den))
+
+
+def _spy_on_exact_values(monkeypatch):
+    calls = []
+    plain = radial._ball_value_exact
+
+    def spy(n, R):
+        calls.append((n, R))
+        return plain(n, R)
+
+    monkeypatch.setattr(radial, "_ball_value_exact", spy)
+    return calls
+
+
+def test_ball_off_the_positive_axis_meets_its_running_bound(monkeypatch):
+    recomputed = _spy_on_exact_values(monkeypatch)
+    for n in (9, 21):
+        for R in (-2.5 + 0.5j, 2 + 3j, 0.5 + 0.5j, 10 - 4j, -1.0, -0.4 + 0.1j):
+            exact = _mp_horner_value(n, R)
+            assert abs(complex(ball_magnitude(n, R)) - exact) <= 1e-13 * abs(exact), (n, R)
+        # Horner in doubles is 7e-3 off at n = 21 here; the bound must catch it
+        assert (n, -2.5 + 0.5j) in recomputed
+
+
+def test_ball_pole_raises_resonance():
+    with pytest.raises(ResonanceError) as info:
+        ball_magnitude(5, -3.0)
+    assert info.value.scale == -3.0
+    assert complex(ball_magnitude(5, -3.0 + 1e-9)) == pytest.approx(b5_closed_form(-3.0 + 1e-9), rel=1e-9)
+
+
+def test_ball_guard_holds_with_a_negative_coefficient(monkeypatch):
+    # N - N(2) has a negative constant term and a root at R = 2, so Horner
+    # cancels on the positive axis; the running bound must send those values
+    # to the exact N/D
+    num, den = radial._exact_ball_rational(7)
+    shifted = (num[0] - radial._horner(num, Fraction(2)),) + num[1:]
+    monkeypatch.setattr(radial, "_exact_ball_rational", lambda n: (shifted, den))
+    recomputed = _spy_on_exact_values(monkeypatch)
+    # the rounded coefficients are cached per n; the exact ones are not touched
+    radial._ball_rational_doubles.cache_clear()
+    try:
+        assert ball_magnitude(7, 2.0) == 0
+        for R in (0.5, 2.0 + 1e-9, 2.5, 40.0):
+            x = Fraction(R)
+            exact = radial._horner(shifted, x) / radial._horner(den, x)
+            val = complex(ball_magnitude(7, R))
+            assert val.imag == 0
+            assert abs(Fraction(val.real) - exact) <= 1e-13 * abs(exact), R
+        assert (7, 2.0) in recomputed and (7, 2.0 + 1e-9) in recomputed
+    finally:
+        radial._ball_rational_doubles.cache_clear()
+
+
+def test_ball_at_the_edge_of_the_double_range():
+    for R in (float("inf"), float("nan"), complex(1.0, float("inf"))):
+        with pytest.raises(ArgumentError, match="finite"):
+            ball_magnitude(5, R)
+    for n, R in ((9, 1e40), (9, 1e36), (9, 1e36 + 1e36j), (9, -1e40), (21, 5e15)):
+        with pytest.raises(ArgumentError, match="double range"):
+            ball_magnitude(n, R)
+    # here R^n overflows a double but M ~ R^n / n! does not
+    for n, R in ((21, 5e14), (9, 3e34), (9, -3e34), (9, 2e34 + 1e34j)):
+        exact = _mp_horner_value(n, R)
+        assert abs(exact) > 1e250
+        assert abs(complex(ball_magnitude(n, R)) - exact) <= 1e-13 * abs(exact), (n, R)
+
+
+def test_ball_quotient_leads_with_the_asymptotic_coefficients():
+    # N div D is the whole large-R expansion up to O(1/R); its top three
+    # coefficients are the theorem's c0, c1 and c2 (Barcelo-Carbery)
+    for n in range(3, 18, 2):
+        quotient, _ = radial._polydivmod(*radial._exact_ball_rational(n))
+        assert len(quotient) == n + 1
+        theorem = asymptotic_polynomial(invariants_analytic(DomainShape.ball(n, 1.0)))
+        for got, want in zip(reversed(quotient), theorem.coefficients):
+            assert float(got) == pytest.approx(want, rel=1e-14), n
 
 
 def test_ball_argument_validation():
