@@ -12,8 +12,8 @@ Submodules:
 - ``invariants``: geometric invariants (volume, area, total mean
   curvature) from closed forms or triangle meshes, and the asymptotic /
   conjectured magnitude polynomials built from them;
-- ``roots``: argument-principle pole and zero location in rectangles of
-  the complex plane;
+- ``roots``: the certified pole/zero census of the ball magnitude
+  functions and the pole survey of the spherical shell;
 - ``cli``: the ``maglab`` command-line tool.
 """
 
@@ -75,8 +75,6 @@ from .roots import (
     SearchRegion,
     ShellPoleSurvey,
     ball_pole_zero_census,
-    count_in_region,
-    find_roots,
     shell_pole_survey,
     write_roots_csv,
 )

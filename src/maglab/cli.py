@@ -174,7 +174,11 @@ def _cmd_asymptote(args) -> None:
     n = inv.dimension
     grid = np.geomspace(50.0, 200.0, 20)
     if shape.kind == "ball":
-        vals = [complex(ball_magnitude(n, R, dps=60)).real for R in grid]
+        if n < 3:
+            raise ArgumentError("asymptote --shape ball needs n >= 3: for n = 1 the analytic c2 is 0")
+        # the radius-r ball at scale R is the unit ball at scale r R
+        _, radius = shape.params
+        vals = [complex(ball_magnitude(n, radius * R, dps=60)).real for R in grid]
     else:
         vals = [complex(shell_magnitude(args.inner, args.outer, R)).real for R in grid]
     fitted = fit_leading_coefficients(grid, vals, n)

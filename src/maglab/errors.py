@@ -51,7 +51,12 @@ class ReconstructionError(MaglabError):
 
 
 class PrecisionError(MaglabError):
-    """A contour count failed to settle on an integer after refinement."""
+    """An iteration or fit did not reach the accuracy it must certify.
+
+    Raised when the shell pole survey's Newton iteration stagnates above the
+    residual bound, and when the asymptotic coefficient fit's least-squares
+    system is singular at the working precision.
+    """
 
 
 class DiagnosticError(MaglabError):

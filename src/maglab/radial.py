@@ -252,8 +252,8 @@ def _ball_magnitude_at(n, R):
 # e^{-R}.  The exponential cancels between the trace solve and the boundary
 # term, so the whole magnitude sample reduces to evaluating cached integer
 # polynomials and one m x m solve -- orders of magnitude faster than
-# re-deriving the kernel basis per sample, which is what high-count,
-# high-precision contour sampling needs.
+# re-deriving the kernel basis per sample, which is what the many exact
+# integer samples of the rational reconstruction need.
 
 
 def _ipoly_diff(p):
@@ -408,37 +408,18 @@ CHECK_SAMPLES = 3
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """num(R)/den(R) with ascending coefficient lists and monic denominator.
+    """M_{B_n} = num(R)/den(R) as ascending coefficients, den monic, with its roots.
 
-    The coefficients are the exact rationals rounded to double precision.
-    ``zeros``/``poles`` hold the root multisets; evaluation uses the stable
-    product form C * prod(R - zero) / prod(R - pole).
+    The coefficients are the exact rationals rounded to double precision;
+    ``zeros``/``poles`` hold the root multisets, sorted by (Im, Re).  The
+    record is not evaluated: ``ball_magnitude`` evaluates M_{B_n} with an
+    error guard.
     """
 
     numerator: tuple
     denominator: tuple
     zeros: tuple
     poles: tuple
-    lead: complex
-
-    def __call__(self, R):
-        num = self.lead
-        for z in self.zeros:
-            num = num * (R - z)
-        den = 1.0
-        for p in self.poles:
-            den = den * (R - p)
-        return num / den
-
-    def degree(self):
-        return len(self.zeros), len(self.poles)
-
-    def to_json_dict(self):
-        pair = lambda c: [float(np.real(c)), float(np.imag(c))]
-        return {
-            "num": [pair(c) for c in self.numerator],
-            "den": [pair(c) for c in self.denominator],
-        }
 
 
 def _ball_sample_exact(n, k):
@@ -766,10 +747,5 @@ def rational_reconstruct(n: int) -> RationalFunction:
     order = lambda c: (c.imag, c.real)
     zeros = sorted((complex(z) for z in _verified_polyroots(_integer_coefficients(num))), key=order)
     poles = sorted((complex(p) for p in _verified_polyroots(_integer_coefficients(den))), key=order)
-    return RationalFunction(
-        numerator=tuple(float(c) for c in num),
-        denominator=tuple(float(c) for c in den),
-        zeros=tuple(zeros),
-        poles=tuple(poles),
-        lead=complex(num[-1]),
-    )
+    numerator, denominator = _ball_rational_doubles(n)
+    return RationalFunction(numerator, denominator, tuple(zeros), tuple(poles))

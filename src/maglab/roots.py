@@ -1,18 +1,17 @@
 """Pole and zero location for magnitude functions in the complex plane.
 
-``count_in_region`` counts zeros minus poles of a meromorphic function in a
-rectangle by the argument principle; ``find_roots`` subdivides a rectangle
-until each cell isolates one root and polishes it with Newton iteration.
-``ball_pole_zero_census`` and ``shell_pole_survey`` apply these to the
-rational ball magnitude functions and to the transcendental denominator of
-the spherical-shell magnitude.
+``ball_pole_zero_census`` takes the zeros and poles of the rational ball
+magnitude functions from their exact form N/D and certifies them over the
+rationals; ``shell_pole_survey`` finds the poles of the spherical-shell
+magnitude, the roots of its transcendental denominator sinh 2R - 2R, by
+seeded Newton iteration on each branch.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -26,12 +25,6 @@ from .radial import (
     _polygcd,
     rational_reconstruct,
 )
-
-#: default contour quadrature points per rectangle side
-DEFAULT_CONTOUR_POINTS = 256
-
-#: default maximum quadrisection depth
-DEFAULT_MAX_DEPTH = 12
 
 #: residual bound certified for every reported root
 RESIDUAL_TOL = 1e-10
@@ -51,62 +44,22 @@ class SearchRegion:
     x1: float
     y0: float
     y1: float
-    max_depth: int = DEFAULT_MAX_DEPTH
-    contour_points: int = DEFAULT_CONTOUR_POINTS
 
     def __post_init__(self):
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ArgumentError("search rectangle is degenerate")
-        if self.max_depth < 0 or self.contour_points < 8:
-            raise ArgumentError("max_depth must be >= 0 and contour_points >= 8")
 
-    @property
-    def center(self) -> complex:
-        return complex((self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2)
-
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.x1 - self.x0, self.y1 - self.y0)
-
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (
-            self.x0 - margin <= z.real <= self.x1 + margin
-            and self.y0 - margin <= z.imag <= self.y1 + margin
-        )
-
-    def shifted(self, dz: complex) -> "SearchRegion":
-        return SearchRegion(
-            self.x0 + dz.real,
-            self.x1 + dz.real,
-            self.y0 + dz.imag,
-            self.y1 + dz.imag,
-            self.max_depth,
-            self.contour_points,
-        )
-
-    def quadrisect(self, overlap: float = 0.0) -> tuple:
-        """Four half-size subrectangles, optionally widened by a relative
-        overlap so roots on the shared cut lines belong to some child even
-        after per-cell contour nudging."""
-        xm = (self.x0 + self.x1) / 2
-        ym = (self.y0 + self.y1) / 2
-        gx = overlap * (self.x1 - self.x0) / 2
-        gy = overlap * (self.y1 - self.y0) / 2
-        mk = lambda a, b, c, d: SearchRegion(a, b, c, d, self.max_depth, self.contour_points)
-        return (
-            mk(self.x0, xm + gx, self.y0, ym + gy),
-            mk(xm - gx, self.x1, self.y0, ym + gy),
-            mk(self.x0, xm + gx, ym - gy, self.y1),
-            mk(xm - gx, self.x1, ym - gy, self.y1),
-        )
+    def contains(self, z: complex) -> bool:
+        return self.x0 <= z.real <= self.x1 and self.y0 <= z.imag <= self.y1
 
 
 @dataclass(frozen=True)
 class Root:
     """One located root: position, multiplicity, kind ('zero'|'pole'), residual.
 
-    The residual is |f| at zeros and |1/f| at poles; in the ball census it
-    is the backward error as a root of the numerator or the denominator.
+    In the ball census the residual is the backward error as a root of the
+    numerator (zeros) or the denominator (poles); in the shell survey it is
+    |sinh(2R) - 2R|.
     """
 
     location: complex
@@ -117,16 +70,11 @@ class Root:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Roots found in a region, canonically ordered by (Im, Re).
-
-    ``unresolved`` lists (region, count) pairs for cells where Newton
-    iteration failed to certify a root.
-    """
+    """Roots found in a region, canonically ordered by (Im, Re)."""
 
     roots: tuple
     region: SearchRegion
     function_id: str
-    unresolved: tuple = field(default=())
 
     def __iter__(self):
         return iter(self.roots)
@@ -136,9 +84,6 @@ class RootSet:
 
     def locations(self) -> list:
         return [r.location for r in self.roots]
-
-    def of_kind(self, kind: str) -> list:
-        return [r for r in self.roots if r.kind == kind]
 
     def is_conjugation_symmetric(self, tol: float = CONJUGATION_TOL) -> bool:
         locs = self.locations()
@@ -150,207 +95,6 @@ class RootSet:
 
 def _sorted_roots(roots) -> tuple:
     return tuple(sorted(roots, key=lambda r: (r.location.imag, r.location.real)))
-
-
-class _ContourHit(PrecisionError):
-    """A root lies on (or too close to) the contour; nudge and retry."""
-
-    def __init__(self):
-        super().__init__("a root lies on the integration contour")
-
-
-def _winding_raw(f, region: SearchRegion, per_side: int) -> float:
-    xs = np.linspace(region.x0, region.x1, per_side, endpoint=False)
-    ys = np.linspace(region.y0, region.y1, per_side, endpoint=False)
-    pts = np.concatenate(
-        [
-            xs + 1j * region.y0,
-            region.x1 + 1j * ys,
-            xs[::-1] + (region.x1 - region.x0) / per_side + 1j * region.y1,
-            region.x0 + 1j * (ys[::-1] + (region.y1 - region.y0) / per_side),
-        ]
-    )
-    vals = np.array([complex(f(z)) for z in pts])
-    mags = np.abs(vals)
-    if not np.all(np.isfinite(vals)) or mags.min() == 0.0:
-        raise _ContourHit
-    # huge dynamic range along the contour signals a root essentially on it
-    if mags.min() < 1e-13 * np.median(mags):
-        raise _ContourHit
-    # total argument change, tracking the branch step by step; each ratio of
-    # consecutive samples must stay off the negative real axis for the
-    # per-step phase increment to be unambiguous, which refinement ensures
-    steps = np.angle(np.roll(vals, -1) / vals)
-    return (
-        float(steps.sum() / (2 * math.pi)),
-        float(np.abs(steps).max()),
-        float(np.abs(steps).sum()),
-    )
-
-
-def _phase_variation(f, region: SearchRegion) -> float:
-    """Total unsigned argument change of f along the region boundary.
-
-    A cell with winding zero can still hold a cancelling zero/pole pair; the
-    pair leaves a large phase swing on the contour even though the signed
-    total vanishes, so this is used to decide whether such a cell is worth
-    subdividing.
-    """
-    try:
-        _, _, variation = _winding_raw(f, region, region.contour_points)
-    except _ContourHit:
-        return math.inf
-    return variation
-
-
-def count_in_region(f, region: SearchRegion) -> int:
-    """Zeros minus poles of f in the region, counted with multiplicity.
-
-    Trapezoidal winding of f along the rectangle boundary; the quadrature
-    point count is doubled until the winding is within 0.25 of an integer
-    and every per-step phase increment is safely below pi.  A near-pi step
-    that survives refinement means a root lies on the contour itself -- the
-    winding can then round to a wrong integer -- and is reported as a
-    contour hit so the caller can nudge the rectangle.
-    """
-    per_side = region.contour_points
-    for _ in range(6):
-        w, max_step, _ = _winding_raw(f, region, per_side)
-        nearest = round(w)
-        if abs(w - nearest) <= 0.25 and max_step <= 2.8:
-            return int(nearest)
-        per_side *= 2
-    if max_step > 2.8:
-        raise _ContourHit
-    raise PrecisionError(
-        f"winding {w:.4f} did not settle to an integer on {region} "
-        f"(refined to {per_side} points per side)"
-    )
-
-
-def _count_with_nudge(f, region: SearchRegion):
-    """Count in the region, nudging it when a root sits on the contour.
-
-    Returns (count, possibly-shifted region).  The shift is at most 5e-3 of
-    the diagonal, so roots strictly inside stay inside for practical spacing.
-    """
-    step = 1e-3 * region.diagonal
-    current = region
-    for attempt in range(6):
-        try:
-            return count_in_region(f, current), current
-        except _ContourHit:
-            current = current.shifted(complex(step, step * 0.618))
-    raise PrecisionError(f"contour keeps hitting a root near {region}")
-
-
-def _newton(f, z0: complex, *, max_iter: int = 200):
-    """Finite-difference Newton iteration; returns the root or None."""
-    z = complex(z0)
-    for _ in range(max_iter):
-        h = 1e-7 * max(1.0, abs(z))
-        fz = complex(f(z))
-        df = (complex(f(z + h)) - complex(f(z - h))) / (2 * h)
-        if df == 0 or not np.isfinite(df) or not np.isfinite(fz):
-            return None
-        step = fz / df
-        z -= step
-        if abs(step) <= 1e-12 * max(1.0, abs(z)):
-            return z
-    # multiple roots converge linearly; accept if the value is already tiny
-    return z if abs(complex(f(z))) <= RESIDUAL_TOL else None
-
-
-def find_roots(f, region: SearchRegion, function_id: str = "f") -> RootSet:
-    """All zeros and poles of f in the region, polished to RESIDUAL_TOL.
-
-    The rectangle is quadrisected (with slight child overlap, so roots on
-    the cut lines are claimed by some child) until each cell carries winding
-    count of magnitude <= 1 or the depth limit is hit, then Newton iteration
-    runs from the cell center -- on f for zeros, on 1/f for poles.  Each
-    polished root's multiplicity is certified by the winding of a small
-    square around it, which also deduplicates roots claimed by overlapping
-    cells.  Cells where Newton fails to certify the residual bound are
-    reported as unresolved.
-    """
-    roots, unresolved = [], []
-
-    def resolve(cell: SearchRegion, count: int) -> bool:
-        # Newton from the cell center must land inside the cell it was
-        # counted in -- otherwise it slid to some other root and the cell
-        # needs further subdivision
-        kind = "zero" if count > 0 else "pole"
-        g = f if count > 0 else (lambda z: 1.0 / complex(f(z)))
-        z = _newton(g, cell.center)
-        if z is None or not cell.contains(z, margin=0.01 * cell.diagonal):
-            return False
-        residual = abs(complex(g(z)))
-        if residual > RESIDUAL_TOL:
-            return False
-        roots.append(Root(z, abs(count), kind, residual))
-        return True
-
-    def recurse(cell: SearchRegion, depth: int):
-        try:
-            count, cell = _count_with_nudge(f, cell)
-        except PrecisionError:
-            unresolved.append((cell, None))
-            return
-        at_limit = depth >= cell.max_depth or cell.diagonal < 1e-9
-        if count == 0:
-            # zero winding can hide a cancelling zero/pole pair; a large
-            # phase swing on the contour betrays one, so keep subdividing
-            if not at_limit and _phase_variation(f, cell) > math.pi:
-                for child in cell.quadrisect(overlap=0.02):
-                    recurse(child, depth + 1)
-            return
-        if abs(count) == 1 or at_limit:
-            if resolve(cell, count):
-                return
-            if at_limit:
-                unresolved.append((cell, count))
-                return
-        for child in cell.quadrisect(overlap=0.02):
-            recurse(child, depth + 1)
-
-    recurse(region, 0)
-    return RootSet(
-        _certified_roots(f, roots, region), region, function_id, tuple(unresolved)
-    )
-
-
-def _certified_roots(f, roots, region: SearchRegion) -> tuple:
-    """Deduplicate polished roots and certify each multiplicity.
-
-    Overlapping cells (and the several cells a multiple root dominates) can
-    each deliver the same polished location, so coincident same-kind roots
-    collapse to one, whose multiplicity is the winding of a small square
-    centered on it.
-    """
-    tol = max(1e-7, 1e-7 * region.diagonal)
-    unique = []
-    for r in _sorted_roots(roots):
-        if any(s.kind == r.kind and abs(s.location - r.location) <= tol for s in unique):
-            continue
-        unique.append(r)
-    certified = []
-    for r in unique:
-        h = max(1e-4 * max(1.0, abs(r.location)), 2 * tol)
-        box = SearchRegion(
-            r.location.real - h,
-            r.location.real + h,
-            r.location.imag - h,
-            r.location.imag + h,
-            region.max_depth,
-            64,
-        )
-        try:
-            count, _ = _count_with_nudge(f, box)
-        except PrecisionError:
-            count = r.multiplicity if r.kind == "zero" else -r.multiplicity
-        mult = abs(count) if count != 0 else r.multiplicity
-        certified.append(Root(r.location, mult, r.kind, r.residual))
-    return _sorted_roots(certified)
 
 
 def _is_hurwitz(coeffs) -> bool:

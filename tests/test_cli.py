@@ -95,6 +95,16 @@ def test_asymptote_subcommand(tmp_path):
     assert max(errors) <= 1e-6
 
 
+def test_asymptote_ball_fits_its_radius(tmp_path):
+    # the fitted values are the radius-2 ball's, M_{2B}(R) = M_B(2R)
+    assert run(tmp_path, "asymptote", "--shape", "ball", "--n", "3", "--radius", "2") == 0
+    rows = (tmp_path / "asymptote.csv").read_text().splitlines()[1:]
+    analytic = [float(r.split(",")[1]) for r in rows]
+    assert analytic == pytest.approx([4 / 3, 4.0, 4.0])
+    errors = [float(r.split(",")[3]) for r in rows]
+    assert len(errors) == 3 and max(errors) <= 1e-6
+
+
 def test_compare_subcommand(tmp_path):
     assert run(tmp_path, "compare", "--n", "3", "--r-grid", "1:5:3") == 0
     rows = (tmp_path / "compare.csv").read_text().splitlines()[1:]
@@ -124,6 +134,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["ball", "--r-grid", "0.1:1:x"],
         ["ball", "--r-grid", "1:inf:3"],
         ["poles", "--rect", "a:b:c:d"],
+        ["asymptote", "--shape", "ball", "--n", "1"],
         ["finite", "--points", str(tmp_path / "missing.txt")],
         ["finite", "--points", str(tmp_path)],
     ):

@@ -41,6 +41,61 @@ def test_no_unused_imports_in_package():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
+def _private_definitions(source):
+    """Module-level private functions, classes and constants, name -> line."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in targets if name.startswith("_") and not name.startswith("__"))
+    return defined
+
+
+def _referenced_names(source):
+    """Names the module reads, as bare names, attributes or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _unreferenced_privates(sources):
+    """(module, line, name) of each module-level private name no module references."""
+    used = set().union(*map(_referenced_names, sources.values()))
+    return sorted(
+        (module, line, name)
+        for module, source in sources.items()
+        for name, line in _private_definitions(source).items()
+        if name not in used
+    )
+
+
+def test_unreferenced_privates_detected():
+    a = "def _used():\n    pass\ndef _orphan():\n    pass\nclass _Gone:\n    pass\n_LIMIT = 3\n_KEPT: int = _used()\n"
+    b = "import a\nfrom a import _LIMIT\na._Gone()\n"
+    assert _unreferenced_privates({"a": a}) == [("a", 3, "_orphan"), ("a", 5, "_Gone"), ("a", 7, "_LIMIT"), ("a", 8, "_KEPT")]
+    assert _unreferenced_privates({"a": a, "b": b}) == [("a", 3, "_orphan"), ("a", 8, "_KEPT")]
+
+
+def test_no_unreferenced_privates_in_package():
+    # a private helper whose last caller went must go with it; references
+    # from the tests do not count
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    orphans = [f"{module}:{line}: {name}" for module, line, name in _unreferenced_privates(sources)]
+    assert not orphans, "unreferenced private names: " + ", ".join(orphans)
+
+
 def test_startup_loads_only_scipy_lapack_wrappers():
     # every maglab process pays for its imports: metric loads scipy's compiled
     # LAPACK wrappers alone, not the scipy.linalg package and its array-API layer

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from maglab import radial, roots
-from maglab.errors import ArgumentError, DiagnosticError, PrecisionError
+from maglab.errors import ArgumentError, DiagnosticError
 from maglab.roots import (
     SearchRegion,
     ball_pole_zero_census,
-    count_in_region,
-    find_roots,
     shell_denominator_residual,
     shell_pole_survey,
     write_roots_csv,
@@ -20,80 +18,61 @@ def shell_den(z):
     return np.sinh(2 * z) - 2 * z
 
 
+def winding_count(f, x0, x1, y0, y1, per_side=4000):
+    """Zeros minus poles of f in [x0, x1] x [y0, y1], with multiplicity.
+
+    The trapezoidal winding number of f along the rectangle's boundary at a
+    fixed per_side points a side, f evaluated on numpy arrays.  A zero or
+    non-finite sample, or a phase step of pi/2 or more between neighbours,
+    means the contour runs through or too near a root: ValueError.
+    """
+    t = np.linspace(0.0, 1.0, per_side, endpoint=False)
+    dx, dy = x1 - x0, y1 - y0
+    z = np.concatenate(
+        [x0 + dx * t + 1j * y0, x1 + 1j * (y0 + dy * t), x1 - dx * t + 1j * y1, x0 + 1j * (y1 - dy * t)]
+    )
+    w = f(z)
+    if not np.all(np.isfinite(w)) or np.any(w == 0):
+        raise ValueError("f vanishes or is infinite on the contour")
+    steps = np.angle(np.roll(w, -1) / w)
+    if np.abs(steps).max() >= np.pi / 2:
+        raise ValueError("a root lies on or near the contour")
+    return round(steps.sum() / (2 * np.pi))
+
+
 def test_region_validation():
     with pytest.raises(ArgumentError):
         SearchRegion(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ArgumentError):
-        SearchRegion(0.0, 1.0, 0.0, 1.0, contour_points=4)
+        SearchRegion(0.0, 1.0, 1.0, 1.0)
+
+
+# the winding count is the oracle of the shell survey's completeness test
 
 
 def test_count_simple_zero():
-    assert count_in_region(lambda z: z - (1 + 1j), SearchRegion(0, 2, 0, 2)) == 1
+    assert winding_count(lambda z: z - (1 + 1j), 0, 2, 0, 2) == 1
 
 
 def test_count_simple_pole():
-    assert count_in_region(lambda z: 1 / (z - 1), SearchRegion(0, 2, -1, 1)) == -1
+    assert winding_count(lambda z: 1 / (z - 1), 0, 2, -1, 1) == -1
 
 
 def test_count_zero_minus_pole_cancels():
-    f = lambda z: (z - 0.5) / (z + 0.5)
-    assert count_in_region(f, SearchRegion(-1, 1, -1, 1)) == 0
+    assert winding_count(lambda z: (z - 0.5) / (z + 0.5), -1, 1, -1, 1) == 0
 
 
 def test_count_with_multiplicity():
-    assert count_in_region(lambda z: z**3, SearchRegion(-1, 1, -1, 1)) == 3
+    assert winding_count(lambda z: z**3, -1, 1, -1, 1) == 3
 
 
 def test_count_empty_region():
-    assert count_in_region(lambda z: z - 10, SearchRegion(-1, 1, -1, 1)) == 0
+    assert winding_count(lambda z: z - 10, -1, 1, -1, 1) == 0
 
 
 def test_count_root_on_contour_is_flagged():
-    with pytest.raises(PrecisionError):
-        count_in_region(lambda z: z - 1, SearchRegion(-1, 1, -1, 1))
-
-
-def test_find_roots_polynomial():
-    f = lambda z: (z - 0.5) * (z + 0.25 - 0.5j) * (z + 0.25 + 0.5j)
-    rs = find_roots(f, SearchRegion(-2, 2, -2, 2))
-    assert len(rs) == 3 and not rs.unresolved
-    locs = sorted(rs.locations(), key=lambda c: (c.imag, c.real))
-    assert locs[0] == pytest.approx(-0.25 - 0.5j, abs=1e-10)
-    assert locs[1] == pytest.approx(0.5, abs=1e-10)
-    assert all(r.kind == "zero" for r in rs)
-
-
-def test_find_roots_mixed_kinds():
-    f = lambda z: (z - 0.5) / (z + 0.5)
-    rs = find_roots(f, SearchRegion(-1, 1, -1, 1))
-    kinds = {r.kind: r.location for r in rs}
-    assert kinds["zero"] == pytest.approx(0.5, abs=1e-10)
-    assert kinds["pole"] == pytest.approx(-0.5, abs=1e-10)
-
-
-def test_find_roots_triple_zero_multiplicity():
-    # sinh(2R) - 2R has a triple zero at the origin
-    rs = find_roots(shell_den, SearchRegion(-0.5, 0.5, -0.5, 0.5))
-    assert len(rs) == 1
-    root = rs.roots[0]
-    assert abs(root.location) < 1e-6
-    assert root.multiplicity == 3 and root.kind == "zero"
-
-
-def test_find_roots_cross_oracle_with_count():
-    region = SearchRegion(0.1, 3, 0.1, 10)
-    rs = find_roots(shell_den, region)
-    tally = sum(r.multiplicity if r.kind == "zero" else -r.multiplicity for r in rs)
-    assert tally == count_in_region(shell_den, region)
-    assert not rs.unresolved
-
-
-def test_find_roots_handles_roots_on_cut_lines():
-    # roots placed exactly on the quadrisection lines of the region
-    f = lambda z: z * (z - 1) * (z + 1) * (z - 1j)
-    rs = find_roots(f, SearchRegion(-2, 2, -2, 2))
-    assert len(rs) == 4 and not rs.unresolved
-    assert all(r.residual <= 1e-10 for r in rs)
+    with pytest.raises(ValueError):
+        winding_count(lambda z: z - 1, -1, 1, -1, 1)
 
 
 def test_census_b5():
@@ -144,7 +123,7 @@ def test_census_residuals_are_backward_errors():
 def test_census_rejects_a_root_with_a_large_backward_error(monkeypatch):
     rf = radial.rational_reconstruct(7)
     off = rf.poles[0] * (1 + 1e-6)
-    spoiled = type(rf)(rf.numerator, rf.denominator, rf.zeros, (off,) + rf.poles[1:], rf.lead)
+    spoiled = type(rf)(rf.numerator, rf.denominator, rf.zeros, (off,) + rf.poles[1:])
     monkeypatch.setattr(roots, "rational_reconstruct", lambda n: spoiled)
     with pytest.raises(DiagnosticError, match="backward error"):
         ball_pole_zero_census(7)
@@ -178,6 +157,13 @@ def test_shell_survey_properties():
     res = [r.location.real for r in roots]
     assert all(b > a for a, b in zip(res, res[1:]))
     assert 0.4 <= survey.slope <= 0.6
+
+
+def test_shell_survey_misses_no_root():
+    # the scaled denominator e^{-2R} (sinh 2R - 2R) has the same roots and no
+    # poles; the survey's roots all have 0.05 < Re < 5 below Im = 40
+    survey = shell_pole_survey(40.0)
+    assert winding_count(roots._shell_scaled, 0.05, 5.0, 0.5, 40.0) == len(survey.roots)
 
 
 def test_shell_survey_residual_scaled_form():
