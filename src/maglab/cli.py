@@ -205,9 +205,13 @@ def _cmd_asymptote(args) -> None:
 
 
 def _cmd_poles(args) -> None:
-    out = _out_dir(args)
+    flag, value = ("--rect", args.rect) if args.model == "shell" else ("--ymax", args.ymax)
+    if value is not None:
+        raise ArgumentError(f"{flag} does not apply to --model {args.model}")
     region = _parse_rect(args.rect) if args.rect else None
+    out = _out_dir(args)
     if args.model == "shell":
+        args.ymax = 40.0 if args.ymax is None else args.ymax
         survey = shell_pole_survey(args.ymax)
         write_roots_csv(survey.roots, out / "poles.csv")
         _write_sidecar(
@@ -313,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("ball", "shell"), default="ball")
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--rect", help="x0:x1:y0:y1 search rectangle")
-    p.add_argument("--ymax", type=float, default=40.0, help="shell survey Im bound")
+    p.add_argument("--ymax", type=float, help="shell survey Im bound (default 40)")
     common(p)
     p.set_defaults(func=_cmd_poles)
 

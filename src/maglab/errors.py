@@ -45,8 +45,9 @@ class MeshError(MaglabError):
 class ReconstructionError(MaglabError):
     """The exact rational form of a ball magnitude failed a check.
 
-    Raised when N/D violates its degree bounds or misses an exact sample, or
-    when its zeros and poles cannot be verified by multiplying them back out.
+    Raised when the trace system is singular, when N/D violates its degree
+    bounds, or when its zeros and poles cannot be verified by multiplying
+    them back out.
     """
 
 

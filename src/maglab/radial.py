@@ -10,9 +10,9 @@ resonances of the trace system, is computed in closed form.
 The trace solve is generic over Python complex / mpmath; shells use it in
 doubles, balls only in mpmath (``ball_magnitude(..., dps=...)``), where it is
 the independent reference.  In doubles a ball magnitude is its exact rational
-form N/D (rational coefficients, ``rational_reconstruct``) evaluated by
-Horner's rule under an error bound: a value either meets the bound or is
-computed from the exact N/D.
+form N/D evaluated by Horner's rule under an error bound: a value either
+meets the bound or is computed from the exact N/D.  N and D come from one
+fraction-free elimination of the trace system over integer polynomials in R.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 import mpmath as mp
 import numpy as np
@@ -250,10 +251,8 @@ def _ball_magnitude_at(n, R):
 # Writing each decaying basis element as p(r, R) e^{-R r} with an integer
 # polynomial p, every trace at rho = 1 is an integer polynomial in R times
 # e^{-R}.  The exponential cancels between the trace solve and the boundary
-# term, so the whole magnitude sample reduces to evaluating cached integer
-# polynomials and one m x m solve -- orders of magnitude faster than
-# re-deriving the kernel basis per sample, which is what the many exact
-# integer samples of the rational reconstruction need.
+# term, so the magnitude is a quotient of determinants of these cached
+# integer polynomials: the exact rational form below.
 
 
 def _ipoly_diff(p):
@@ -315,13 +314,6 @@ def _ball_trace_polys(n):
         for j in range(m // 2 + 1, m + 1)
     )
     return system, boundary
-
-
-def _horner(coeffs, R):
-    acc = 0 * R
-    for c in reversed(coeffs):
-        acc = acc * R + c
-    return acc
 
 
 def shell_magnitude(a: float, b: float, R, *, dps=None):
@@ -395,108 +387,82 @@ def shell_deviation_report(Rs, a=1.0, b=2.0):
 
 # -- exact rational form of the ball magnitude ------------------------------
 #
-# At an integer scale R = k every entry of the cached trace system is an
-# integer, so one sample of M_{B_n} is an exact rational solve.  Cramer's rule
-# makes det S(R) and R n! det S(R) M(R) integer polynomials in R whose degrees
-# are bounded by the row degrees of the trace system, so that many integer
-# samples fix both by interpolation; their quotient, reduced by its gcd, is
-# M_{B_n} = N/D exactly.
-
-#: integer scales past the interpolation nodes at which N = M D is checked
-CHECK_SAMPLES = 3
+# The cached trace system S, its data column d (R^j for even j, 0 for odd j)
+# and the boundary row beta = sum_j R^(n+1-2j) (boundary row j) are integer
+# polynomials in R.  Cramer's rule on B = [[S, d], [beta, 0]] gives
+# R n! det S M_{B_n} = R^(n+1) det S - n det B, and one fraction-free
+# elimination of B over Z[R] yields det S and det B; their quotient, reduced
+# by its gcd, is M_{B_n} = N/D exactly.
 
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """M_{B_n} = num(R)/den(R) as ascending coefficients, den monic, with its roots.
+    """The zeros and poles of M_{B_n} = N/D, each multiset sorted by (Im, Re).
 
-    The coefficients are the exact rationals rounded to double precision;
-    ``zeros``/``poles`` hold the root multisets, sorted by (Im, Re).  The
-    record is not evaluated: ``ball_magnitude`` evaluates M_{B_n} with an
+    The record is not evaluated: ``ball_magnitude`` evaluates M_{B_n} with an
     error guard.
     """
 
-    numerator: tuple
-    denominator: tuple
     zeros: tuple
     poles: tuple
 
 
-def _ball_sample_exact(n, k):
-    """(det S(k), M_{B_n}(k)) at the integer scale R = k, exactly.
-
-    Gaussian elimination over Fractions on the trace system; the product of
-    the pivots, signed by the row swaps, is the determinant.
-    """
-    system, boundary = _ball_trace_polys(n)
-    m = (n + 1) // 2
-    A = [
-        [Fraction(_horner(p, k)) for p in row] + [Fraction(d)]
-        for row, d in zip(system, _magnitude_data(m, k))
-    ]
-    det = Fraction(1)
-    for col in range(m):
-        piv = next((r for r in range(col, m) if A[r][col]), None)
-        if piv is None:
-            raise ReconstructionError(f"trace system singular at R={k} for n={n}")
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = -det
-        det *= A[col][col]
-        for r in range(col + 1, m):
-            f = A[r][col] / A[col][col]
-            A[r][col:] = [a - f * b for a, b in zip(A[r][col:], A[col][col:])]
-    c = [Fraction(0)] * m
-    for i in reversed(range(m)):
-        c[i] = (A[i][m] - sum(A[i][j] * c[j] for j in range(i + 1, m))) / A[i][i]
-    total = Fraction(0)
-    for row, j in zip(boundary, range(m // 2 + 1, m + 1)):
-        total += Fraction(k) ** (n - 2 * j) * sum(_horner(p, k) * ck for p, ck in zip(row, c))
-    return det, (k**n + n * total) / math.factorial(n)
-
-
-def _interpolation_degree(n):
-    """Degree bound of R n! det S(R) M(R), read off the trace rows.
-
-    A determinant's degree is at most the sum of its row degrees, also after
-    Cramer's rule swaps the data column (degree <= i in row i) in.  The
-    boundary term multiplies that by R^{n+1-2j} times a boundary row.
-    """
-    system, boundary = _ball_trace_polys(n)
-    m = (n + 1) // 2
-    det_bound = sum(max([i] + [len(p) - 1 for p in row]) for i, row in enumerate(system))
-    boundary_bound = max(
-        n + 1 - 2 * j + max(len(p) - 1 for p in row)
-        for row, j in zip(boundary, range(m // 2 + 1, m + 1))
-    )
-    return det_bound + max(n + 1, boundary_bound)
-
-
 def _trim(poly):
-    while len(poly) > 1 and poly[-1] == 0:
-        poly = poly[:-1]
+    # ascending coefficients without trailing zeros; the zero polynomial is []
+    poly = list(poly)
+    while poly and poly[-1] == 0:
+        poly.pop()
     return poly
 
 
-def _interpolate(values):
-    """Ascending coefficients of the polynomial through (k, values[k-1]), k >= 1.
+def _bareiss_entry(pivot, a, b, c, prev):
+    """(pivot a - b c) / prev over Z[R], ascending integer coefficients.
 
-    Newton form over the nodes 1, 2, ...: the divided differences are the
-    forward differences over j!, and the form is expanded by Horner's rule.
+    Sylvester's identity makes the division by the previous pivot exact, so
+    it runs in Python integers.
     """
-    diffs, row = [], list(values)
-    while row:
-        diffs.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    poly = [Fraction(0)]
-    for j in reversed(range(len(diffs))):
-        # poly <- poly * (R - (j + 1)) + diffs[j] / j!
-        shifted = [Fraction(0)] + poly
-        for i, c in enumerate(poly):
-            shifted[i] -= (j + 1) * c
-        shifted[0] += Fraction(diffs[j], math.factorial(j))
-        poly = shifted
-    return _trim(poly)
+    out = [0] * max(len(pivot) + len(a), len(b) + len(c))
+    for x, y, sign in ((pivot, a, 1), (b, c, -1)):
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                out[i + j] += sign * xi * yj
+    out = _trim(out)
+    quotient = [0] * (len(out) - len(prev) + 1)
+    for s in reversed(range(len(quotient))):
+        q = quotient[s] = out[s + len(prev) - 1] // prev[-1]
+        for i, pc in enumerate(prev):
+            out[s + i] -= q * pc
+    return quotient
+
+
+def _ball_determinants(n):
+    """(det S, det B) of the ball trace system, up to one common sign.
+
+    Bareiss elimination of B = [[S, d], [beta, 0]] over Z[R] with pivots
+    taken from the rows of S only: the pivot of column m - 1 is +-det S and
+    that of column m is +-det B, signed alike by the row swaps.
+    """
+    system, boundary = _ball_trace_polys(n)
+    m = (n + 1) // 2
+    beta = []
+    for k in range(m):
+        terms = [[0] * (n + 1 - 2 * j) + list(row[k]) for row, j in zip(boundary, range(m // 2 + 1, m + 1))]
+        beta.append(_trim(map(sum, zip_longest(*terms, fillvalue=0))))
+    data = [[0] * i + [1] if i % 2 == 0 else [] for i in range(m)]
+    A = [[_trim(p) for p in row] + [d] for row, d in zip(system, data)] + [beta + [[]]]
+    prev = [1]
+    for k in range(m):
+        piv = next((r for r in range(k, m) if A[r][k]), None)
+        if piv is None:
+            raise ReconstructionError(f"trace system of M_B{n} is singular")
+        A[k], A[piv] = A[piv], A[k]
+        for i in range(k + 1, m + 1):
+            A[i] = [[]] * (k + 1) + [
+                _bareiss_entry(A[k][k], A[i][j], A[i][k], A[k][j], prev)
+                for j in range(k + 1, m + 1)
+            ]
+        prev = A[k][k]
+    return A[m - 1][m - 1], A[m][m]
 
 
 def _polydivmod(a, b):
@@ -508,7 +474,7 @@ def _polydivmod(a, b):
         q[s] = f
         for i, c in enumerate(b):
             a[s + i] -= f * c
-    return _trim(q), _trim(a[: len(b) - 1] or [Fraction(0)])
+    return _trim(q), _trim(a[: len(b) - 1])
 
 
 def _polygcd(a, b):
@@ -523,16 +489,15 @@ def _polygcd(a, b):
 def _exact_ball_rational(n):
     """(N, D), ascending Fraction coefficients with D monic and N/D = M_{B_n}.
 
-    Cached per n, as tuples, for ``rational_reconstruct`` and the census
-    certificates.  Raises ReconstructionError unless deg D <= (n-1)(n-3)/8,
-    deg N = deg D + n and N(k) = M(k) D(k) at CHECK_SAMPLES integer scales
-    past the interpolation nodes.
+    N/D is (R^(n+1) det S - n det B) / (R n! det S) from ``_ball_determinants``,
+    reduced by its gcd.  Cached per n, as tuples, for ``rational_reconstruct``
+    and the census certificates.  Raises ReconstructionError unless
+    deg D <= (n-1)(n-3)/8 and deg N = deg D + n.
     """
-    nodes = _interpolation_degree(n) + 1
-    samples = [_ball_sample_exact(n, k) for k in range(1, nodes + CHECK_SAMPLES + 1)]
-    fact = math.factorial(n)
-    den = _interpolate([k * fact * det for k, (det, _) in enumerate(samples[:nodes], 1)])
-    num = _interpolate([k * fact * det * M for k, (det, M) in enumerate(samples[:nodes], 1)])
+    det_s, det_b = _ball_determinants(n)
+    lifted = [0] * (n + 1) + det_s
+    num = [Fraction(c) for c in _trim(x - n * y for x, y in zip_longest(lifted, det_b, fillvalue=0))]
+    den = [Fraction(math.factorial(n) * c) for c in [0] + det_s]
     common = _polygcd(num, den)
     num, den = _polydivmod(num, common)[0], _polydivmod(den, common)[0]
     num = [c / den[-1] for c in num]
@@ -543,9 +508,6 @@ def _exact_ball_rational(n):
             f"M_B{n} reduced to degrees {len(num) - 1}/{len(den) - 1}; expected "
             f"deg D <= {d_den} and deg N = deg D + {n}"
         )
-    for k, (_, M) in enumerate(samples[nodes:], nodes + 1):
-        if _horner(num, k) != M * _horner(den, k):
-            raise ReconstructionError(f"N/D misses M_B{n} at the check scale R={k}")
     return tuple(num), tuple(den)
 
 
@@ -733,13 +695,14 @@ def _verified_polyroots(coeffs, max_attempts=4):
 
 
 def rational_reconstruct(n: int) -> RationalFunction:
-    """Exact rational form N/D of the n-ball magnitude function, n odd >= 3.
+    """Zeros and poles of the n-ball magnitude function N/D, n odd >= 3.
 
-    N and D are computed exactly over the rationals from integer samples of
-    the trace system: deg D <= (n-1)(n-3)/8, deg N = deg D + n, D monic.
-    Only the zeros and poles come from mpmath, by ``polyroots`` on the
-    integer coefficients, seeded from ``numpy.roots``, with a multiply-back
-    check.  Raises ReconstructionError when a check fails.
+    N and D are exact (``_exact_ball_rational``): one fraction-free
+    elimination of the trace system over integer polynomials in R gives
+    them, with deg D <= (n-1)(n-3)/8, deg N = deg D + n and D monic.  Only
+    the roots come from mpmath, by ``polyroots`` on the integer
+    coefficients, seeded from ``numpy.roots``, with a multiply-back check.
+    Raises ReconstructionError when a check fails.
     """
     if n < 3 or n % 2 == 0:
         raise ArgumentError("rational reconstruction needs odd n >= 3")
@@ -747,5 +710,4 @@ def rational_reconstruct(n: int) -> RationalFunction:
     order = lambda c: (c.imag, c.real)
     zeros = sorted((complex(z) for z in _verified_polyroots(_integer_coefficients(num))), key=order)
     poles = sorted((complex(p) for p in _verified_polyroots(_integer_coefficients(den))), key=order)
-    numerator, denominator = _ball_rational_doubles(n)
-    return RationalFunction(numerator, denominator, tuple(zeros), tuple(poles))
+    return RationalFunction(tuple(zeros), tuple(poles))

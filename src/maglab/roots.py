@@ -161,10 +161,11 @@ def ball_pole_zero_census(n: int, region: SearchRegion | None = None):
     Roots are those of the exact rational form N/D from
     ``rational_reconstruct``, extracted by verified ``polyroots``.  Exact
     certificates on N and D prove every root simple (gcd(P, P') = 1 over the
-    rationals) and in the open left half plane (Routh-Hurwitz).  The census
-    also checks the structural bounds -- at most (n-1)(n-3)/8 poles and
-    (n+3)(n+1)/8 zeros, conjugation symmetry, and every pole outside the
-    sector |arg R| < pi/(n+1) -- and raises DiagnosticError on violation.
+    rationals) and in the open left half plane (Routh-Hurwitz).  There are
+    at most (n-1)(n-3)/8 poles and (n+3)(n+1)/8 zeros by construction: N/D
+    exists only with deg D <= (n-1)(n-3)/8 and deg N = deg D + n.  The
+    census checks conjugation symmetry and that every pole lies outside the
+    sector |arg R| < pi/(n+1), and raises DiagnosticError on violation.
     Each root's residual is its normwise backward error as a root of N
     (zeros) or D (poles), and must be at most RESIDUAL_TOL.
     """
@@ -179,13 +180,6 @@ def ball_pole_zero_census(n: int, region: SearchRegion | None = None):
         region = SearchRegion(-extent, extent, -extent, extent)
     poles = [p for p in poles if region.contains(p)]
     zeros = [z for z in zeros if region.contains(z)]
-    max_poles = (n - 1) * (n - 3) // 8
-    max_zeros = (n + 3) * (n + 1) // 8
-    if len(poles) > max_poles or len(zeros) > max_zeros:
-        raise DiagnosticError(
-            f"census bounds violated for n={n}: {len(poles)} poles "
-            f"(max {max_poles}), {len(zeros)} zeros (max {max_zeros})"
-        )
     sector = math.pi / (n + 1)
     for p in poles:
         if p.real >= 0 or abs(np.angle(p)) < sector:

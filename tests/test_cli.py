@@ -68,6 +68,7 @@ def test_poles_shell_survey(tmp_path):
     assert len(rows) >= 10
     sidecar = json.loads((tmp_path / "poles_config.json").read_text())
     assert 0.4 <= sidecar["slope"] <= 0.6
+    assert sidecar["config"]["ymax"] == 40.0
 
 
 def test_shell_subcommand(tmp_path):
@@ -134,6 +135,8 @@ def test_usage_errors_exit_2(tmp_path):
         ["ball", "--r-grid", "0.1:1:x"],
         ["ball", "--r-grid", "1:inf:3"],
         ["poles", "--rect", "a:b:c:d"],
+        ["poles", "--model", "shell", "--rect", "0:1:0:1"],
+        ["poles", "--model", "ball", "--ymax", "20"],
         ["asymptote", "--shape", "ball", "--n", "1"],
         ["finite", "--points", str(tmp_path / "missing.txt")],
         ["finite", "--points", str(tmp_path)],

@@ -98,12 +98,15 @@ def test_no_unreferenced_privates_in_package():
 
 def test_startup_loads_only_scipy_lapack_wrappers():
     # every maglab process pays for its imports: metric loads scipy's compiled
-    # LAPACK wrappers alone, not the scipy.linalg package and its array-API layer
+    # LAPACK wrappers alone, not the scipy.linalg package and its array-API
+    # layer, and no exact ball N/D or its trace rows are built at import
     banned = ("scipy.linalg", "scipy._lib._array_api", "scipy.spatial", "scipy.special")
+    lazy = ("_ball_trace_polys", "_exact_ball_rational")
     probe = (
         "import sys, maglab, maglab.cli; "
-        f"print(sorted(m for m in {banned!r} if m in sys.modules), 'scipy.linalg._flapack' in sys.modules)"
+        f"print(sorted(m for m in {banned!r} if m in sys.modules), 'scipy.linalg._flapack' in sys.modules, "
+        f"[getattr(maglab.radial, f).cache_info().currsize for f in {lazy!r}])"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert result.stdout.strip() == "[] True"
+    assert result.stdout.strip() == "[] True [0, 0]"

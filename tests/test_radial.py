@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +17,13 @@ from maglab.radial import (
     shell_deviation_report,
     shell_magnitude,
 )
+
+
+def _horner(coeffs, x):
+    acc = 0 * x
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def b3_closed_form(R):
@@ -81,7 +89,7 @@ def test_ball_doubles_meet_the_a_priori_bound_on_the_positive_axis():
         bound = (2 * (len(num) - 1) + 2 * (len(den) - 1) + 1) * u
         for R in grid:
             x = Fraction(R)
-            exact = radial._horner(num, x) / radial._horner(den, x)
+            exact = _horner(num, x) / _horner(den, x)
             val = complex(ball_magnitude(n, R))
             assert val.imag == 0
             assert abs(Fraction(val.real) - exact) <= bound * exact, (n, R)
@@ -91,7 +99,7 @@ def _mp_horner_value(n, R, dps=80):
     num, den = radial._exact_ball_rational(n)
     with mpmath.workdps(dps):
         x = mpmath.mpc(R)
-        at = lambda poly: radial._horner([mpmath.mpf(c.numerator) / c.denominator for c in poly], x)
+        at = lambda poly: _horner([mpmath.mpf(c.numerator) / c.denominator for c in poly], x)
         return complex(at(num) / at(den))
 
 
@@ -129,7 +137,7 @@ def test_ball_guard_holds_with_a_negative_coefficient(monkeypatch):
     # cancels on the positive axis; the running bound must send those values
     # to the exact N/D
     num, den = radial._exact_ball_rational(7)
-    shifted = (num[0] - radial._horner(num, Fraction(2)),) + num[1:]
+    shifted = (num[0] - _horner(num, Fraction(2)),) + num[1:]
     monkeypatch.setattr(radial, "_exact_ball_rational", lambda n: (shifted, den))
     recomputed = _spy_on_exact_values(monkeypatch)
     # the rounded coefficients are cached per n; the exact ones are not touched
@@ -138,7 +146,7 @@ def test_ball_guard_holds_with_a_negative_coefficient(monkeypatch):
         assert ball_magnitude(7, 2.0) == 0
         for R in (0.5, 2.0 + 1e-9, 2.5, 40.0):
             x = Fraction(R)
-            exact = radial._horner(shifted, x) / radial._horner(den, x)
+            exact = _horner(shifted, x) / _horner(den, x)
             val = complex(ball_magnitude(7, R))
             assert val.imag == 0
             assert abs(Fraction(val.real) - exact) <= 1e-13 * abs(exact), R
@@ -245,10 +253,7 @@ def test_rational_reconstruct_b5_pole():
     model = rational_reconstruct(5)
     assert len(model.poles) == 1
     assert abs(model.poles[0] + 3) <= 1e-8
-    # a record of the exact N/D rounded to doubles, D monic; not an evaluator
-    num, den = radial._exact_ball_rational(5)
-    assert model.numerator == tuple(map(float, num))
-    assert model.denominator == (3.0, 1.0)
+    # a record of the roots of N/D, not an evaluator
     assert not callable(model)
 
 
@@ -281,7 +286,7 @@ def test_exact_rational_is_cached_and_immutable():
 
 
 def test_exact_denominator_degree_meets_census_bound():
-    for n in (3, 5, 7, 9, 11, 13):
+    for n in range(3, 22, 2):
         num, den = radial._exact_ball_rational(n)
         assert len(den) - 1 == (n - 1) * (n - 3) // 8
         assert len(num) - 1 == len(den) - 1 + n
@@ -295,15 +300,50 @@ def test_exact_model_matches_high_precision_trace_solve():
             assert abs(complex(ball_magnitude(n, R)) - exact) <= 1e-12 * abs(exact)
 
 
-def test_exact_reconstruction_raises_on_short_interpolation(monkeypatch):
-    # too few interpolation nodes give a wrong N/D, which the degree bounds
-    # or the check samples must catch
-    degree = radial._interpolation_degree
-    monkeypatch.setattr(radial, "_interpolation_degree", lambda n: degree(n) - 20)
-    radial._exact_ball_rational.cache_clear()  # a cached N/D would hide the bad nodes
+# sha256 of repr(_exact_ball_rational(n)), taken when N/D was interpolated
+# from exact integer samples of the trace solve
+EXACT_BALL_RATIONAL_SHA256 = {
+    3: "39d89b165e11f4ccfa2b04c6517998080033166c2d09698bb236dc5e36b9cedd",
+    5: "f6e6209c3d2a964231dbc5741ac8138f780707d879f712fadd6d6f6e5ddb95c4",
+    7: "702a4cbe6dcf103fc3d2682b00cb0569f91758c947c7859d7302a323c495ab45",
+    9: "a4215d818d032ce1c96deff872d065841cd6e6c7007d5542a07e49add15cf723",
+    11: "c85b26e16806ae1908bc037a6e70dc324786854b4de699f47fb7d27238acc258",
+    13: "f46d448bda636b07477bdc945a345475658038670132c57ce6df27954af9b43c",
+    15: "24743ba1e508ed0f192fbd7e5f09d8d12e8a038bf2a9d635d28e73fff0c8ca98",
+    17: "e63dc40fe095b42c49c0566707b2add8f27d8f5ca95536585a0dd6e691b03609",
+    19: "588dd10f76b9653881a03914a69b1a4118966fa851d237fe5f97ae196300bb84",
+    21: "b2ca8de406fe1ff2bd54ea6d952151c527aba561b07dc0d10447fc50025d1367",
+}
+
+
+def test_exact_rational_matches_the_sampled_reconstruction():
+    for n, digest in EXACT_BALL_RATIONAL_SHA256.items():
+        got = hashlib.sha256(repr(radial._exact_ball_rational(n)).encode()).hexdigest()
+        assert got == digest, n
+
+
+_TRACE_POLYS = radial._ball_trace_polys
+
+
+def _with_trace_rows(monkeypatch, n, change):
+    system, boundary = _TRACE_POLYS(n)
+    monkeypatch.setattr(radial, "_ball_trace_polys", lambda k: (change(system), boundary))
+    radial._exact_ball_rational.cache_clear()  # a cached N/D would hide the change
+
+
+def test_exact_reconstruction_raises_on_a_corrupted_trace_row(monkeypatch):
+    # 1 more in the constant term of the first system entry gives an N/D
+    # whose reduced denominator is too high: degree 4 > 3 at n = 7, 7 > 6 at n = 9
+    bump = lambda system: (((system[0][0][0] + 1,) + system[0][0][1:],) + system[0][1:],) + system[1:]
     try:
-        with pytest.raises(ReconstructionError):
-            rational_reconstruct(9)
+        for n in (7, 9):
+            _with_trace_rows(monkeypatch, n, bump)
+            with pytest.raises(ReconstructionError, match="reduced to degrees"):
+                rational_reconstruct(n)
+        # a zero first column leaves no pivot
+        _with_trace_rows(monkeypatch, 7, lambda system: tuple(((0,),) + row[1:] for row in system))
+        with pytest.raises(ReconstructionError, match="singular"):
+            rational_reconstruct(7)
     finally:
         radial._exact_ball_rational.cache_clear()
 

@@ -123,7 +123,7 @@ def test_census_residuals_are_backward_errors():
 def test_census_rejects_a_root_with_a_large_backward_error(monkeypatch):
     rf = radial.rational_reconstruct(7)
     off = rf.poles[0] * (1 + 1e-6)
-    spoiled = type(rf)(rf.numerator, rf.denominator, rf.zeros, (off,) + rf.poles[1:])
+    spoiled = type(rf)(rf.zeros, (off,) + rf.poles[1:])
     monkeypatch.setattr(roots, "rational_reconstruct", lambda n: spoiled)
     with pytest.raises(DiagnosticError, match="backward error"):
         ball_pole_zero_census(7)
