@@ -74,6 +74,28 @@ def _parse_rect(text: str) -> SearchRegion:
     return SearchRegion(*_finite_fields("--rect", text, parts))
 
 
+#: per --shape, the shape options it reads and their defaults
+_SHAPE_OPTIONS = {"ball": {"radius": 1.0}, "shell": {"inner": 1.0, "outer": 2.0}}
+#: per poles --model, the model options it reads and their defaults
+_MODEL_OPTIONS = {"ball": {"n": 5, "rect": None}, "shell": {"ymax": 40.0}}
+
+
+def _resolve_options(args, key: str, options) -> None:
+    """Fill in the defaults of the options that the ``--key`` choice reads.
+
+    An option that only another choice reads would be ignored, so giving it
+    is a usage error.  The parser gives these options a None default, which
+    tells an option left out from one given.
+    """
+    choice = getattr(args, key)
+    for dest in sorted(set().union(*options.values()) - options[choice].keys()):
+        if getattr(args, dest) is not None:
+            raise ArgumentError(f"--{dest} does not apply to --{key} {choice}")
+    for dest, default in options[choice].items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+
+
 def _fmt(value) -> str:
     return format(float(value), ".17g")
 
@@ -127,6 +149,7 @@ def _cmd_finite(args) -> None:
 
 
 def _make_shape(args) -> DomainShape:
+    _resolve_options(args, "shape", _SHAPE_OPTIONS)
     if args.shape == "ball":
         return DomainShape.ball(args.n, args.radius)
     return DomainShape.shell(args.inner, args.outer, args.n)
@@ -205,13 +228,10 @@ def _cmd_asymptote(args) -> None:
 
 
 def _cmd_poles(args) -> None:
-    flag, value = ("--rect", args.rect) if args.model == "shell" else ("--ymax", args.ymax)
-    if value is not None:
-        raise ArgumentError(f"{flag} does not apply to --model {args.model}")
+    _resolve_options(args, "model", _MODEL_OPTIONS)
     region = _parse_rect(args.rect) if args.rect else None
     out = _out_dir(args)
     if args.model == "shell":
-        args.ymax = 40.0 if args.ymax is None else args.ymax
         survey = shell_pole_survey(args.ymax)
         write_roots_csv(survey.roots, out / "poles.csv")
         _write_sidecar(
@@ -272,6 +292,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    def shape_options(p):
+        p.add_argument("--radius", type=float, help="ball radius (default 1)")
+        p.add_argument("--inner", type=float, help="shell inner radius (default 1)")
+        p.add_argument("--outer", type=float, help="shell outer radius (default 2)")
+
     p = sub.add_parser("finite", help="magnitude sweep of a point-file metric space")
     p.add_argument("--points", required=True, help="whitespace-separated coordinate file")
     p.add_argument("--scale", type=float, default=1.0)
@@ -282,9 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cloud", help="nested-lattice refinement report")
     p.add_argument("--shape", choices=("ball", "shell"), default="ball")
     p.add_argument("--n", type=int, default=3, help="ambient dimension")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--inner", type=float, default=1.0)
-    p.add_argument("--outer", type=float, default=2.0)
+    shape_options(p)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP)
@@ -307,15 +330,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asymptote", help="invariants, polynomial, large-R fit check")
     p.add_argument("--shape", choices=("ball", "shell"), default="ball")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--inner", type=float, default=1.0)
-    p.add_argument("--outer", type=float, default=2.0)
+    shape_options(p)
     common(p)
     p.set_defaults(func=_cmd_asymptote)
 
     p = sub.add_parser("poles", help="pole/zero census CSV")
     p.add_argument("--model", choices=("ball", "shell"), default="ball")
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=int, help="ball dimension (default 5)")
     p.add_argument("--rect", help="x0:x1:y0:y1 search rectangle")
     p.add_argument("--ymax", type=float, help="shell survey Im bound (default 40)")
     common(p)

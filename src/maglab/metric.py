@@ -18,6 +18,17 @@ pass, so the results are the ones it would return.  That module is loaded
 from its file: importing the ``scipy.linalg`` package would first load
 scipy's array-API layer (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``),
 which costs every maglab process about 0.2 s before it computes anything.
+
+Every product with Z (the refinement step's Z x and the residual Z w) goes
+through scipy's BLAS wrapper ``dgemv`` in ``scipy.linalg._fblas`` too, never
+numpy's ``@``.  numpy and scipy each ship their own OpenBLAS build, and each
+build keeps its own thread pool.  After a numpy product numpy's threads keep
+spinning for a while, so on a 2-core machine they take a core from the
+2-thread Cholesky factor that follows (N = 1000 on a 2-vCPU VM: dpotrf
+takes 11 ms right after a scipy product, 19 ms right after a numpy
+``z @ x``).  With all dense kernels of a weighting on scipy's build, one
+pool does all the work.  ``_fblas`` is loaded at the first product, so
+processes that never solve do not map it.
 """
 
 from __future__ import annotations
@@ -44,29 +55,40 @@ TRIANGLE_BLOCK_BYTES = 32 * 2**20
 DISTANCE_BLOCK_BYTES = 2**19
 
 
-def _load_flapack():
-    """scipy's ``scipy.linalg._flapack`` extension, without running ``scipy/linalg/__init__.py``.
+def _load_linalg_extension(name):
+    """scipy's compiled ``scipy.linalg.<name>`` extension, without running ``scipy/linalg/__init__.py``.
 
-    The module is registered in ``sys.modules`` under its own name, so a later
-    ``import scipy.linalg`` in the same process shares it.
+    The module is registered in ``sys.modules`` under its full name, so a
+    later ``import scipy.linalg`` in the same process shares it, and a second
+    call returns it from there.
     """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
+    qualified = f"scipy.linalg.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
     scipy = importlib.util.find_spec("scipy")
     for location in scipy.submodule_search_locations if scipy else ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(location, "linalg", "_flapack" + suffix)
+            path = os.path.join(location, "linalg", name + suffix)
             if os.path.isfile(path):
-                spec = importlib.util.spec_from_file_location(name, path)
+                spec = importlib.util.spec_from_file_location(qualified, path)
                 module = importlib.util.module_from_spec(spec)
                 spec.loader.exec_module(module)
-                sys.modules[name] = module
+                sys.modules[qualified] = module
                 return module
-    raise ImportError(f"maglab needs scipy's LAPACK wrappers {name}, which were not found", name=name)
+    raise ImportError(f"maglab needs scipy's compiled wrappers {qualified}, which were not found", name=qualified)
 
 
-_lapack = _load_flapack()
+_lapack = _load_linalg_extension("_flapack")
+
+
+def _matvec(z, x):
+    """``z @ x`` for an (M, N) ``z``, by scipy's BLAS ``dgemv``.
+
+    For the C-ordered matrices maglab builds, ``z.T`` is a Fortran-ordered
+    view, so nothing is copied, and the transposed gemv is the kernel
+    numpy's row-major ``@`` reaches as well.
+    """
+    return _load_linalg_extension("_fblas").dgemv(1.0, z.T, x, trans=1)
 
 
 def _lapack_info(routine, info):
@@ -269,7 +291,7 @@ def _solve_similarity(z, rhs):
             return x
 
     x = solve(rhs)
-    x += solve(rhs - z @ x)
+    x += solve(rhs - _matvec(z, x))
     return x, cond
 
 
@@ -305,7 +327,7 @@ def weighting(space: FiniteMetricSpace, scale) -> Weighting:
         s = root[:, None] * zp / root
         v, cond = _solve_similarity((s + s.T) / 2, root)
         w = (v / root)[orbits]
-    residual = float(np.abs(z @ w - 1.0).max())
+    residual = float(np.abs(_matvec(z, w) - 1.0).max())
     if not cond <= CONDITION_LIMIT:
         message = f"similarity matrix numerically singular (cond ~ {cond:.3e})"
     elif residual > RESIDUAL_RTOL * max(1, len(space)):

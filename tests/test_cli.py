@@ -68,7 +68,8 @@ def test_poles_shell_survey(tmp_path):
     assert len(rows) >= 10
     sidecar = json.loads((tmp_path / "poles_config.json").read_text())
     assert 0.4 <= sidecar["slope"] <= 0.6
-    assert sidecar["config"]["ymax"] == 40.0
+    # defaults are resolved before the sidecar is written; --n is the ball's
+    assert sidecar["config"]["ymax"] == 40.0 and sidecar["config"]["n"] is None
 
 
 def test_shell_subcommand(tmp_path):
@@ -84,6 +85,7 @@ def test_cloud_subcommand(tmp_path):
     assert len(rows) == 3
     sidecar = json.loads((tmp_path / "cloud_config.json").read_text())
     assert sidecar["extrapolated"] > 0
+    assert sidecar["config"]["radius"] == 1.0 and sidecar["config"]["inner"] is sidecar["config"]["outer"] is None
 
 
 def test_asymptote_subcommand(tmp_path):
@@ -137,6 +139,12 @@ def test_usage_errors_exit_2(tmp_path):
         ["poles", "--rect", "a:b:c:d"],
         ["poles", "--model", "shell", "--rect", "0:1:0:1"],
         ["poles", "--model", "ball", "--ymax", "20"],
+        ["poles", "--model", "shell", "--n", "9"],
+        ["cloud", "--shape", "ball", "--inner", "5"],
+        ["cloud", "--shape", "ball", "--outer", "5"],
+        ["cloud", "--shape", "shell", "--radius", "2"],
+        ["asymptote", "--shape", "ball", "--inner", "5"],
+        ["asymptote", "--shape", "shell", "--radius", "2"],
         ["asymptote", "--shape", "ball", "--n", "1"],
         ["finite", "--points", str(tmp_path / "missing.txt")],
         ["finite", "--points", str(tmp_path)],

@@ -96,11 +96,36 @@ def test_no_unreferenced_privates_in_package():
     assert not orphans, "unreferenced private names: " + ", ".join(orphans)
 
 
+def _numpy_products(source):
+    """(line, form) of each ``@``, ``@=``, ``dot`` or ``matmul`` in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul"):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_numpy_products_detected():
+    source = "a = b @ c\na @= b\nnp.dot(a, b)\nnp.matmul(a, b)\na.dot(b)\n# a @ b\nf(b.T, x)\n"
+    assert _numpy_products(source) == [(1, "@"), (2, "@"), (3, "dot"), (4, "matmul"), (5, "dot")]
+
+
+def test_metric_has_no_numpy_products():
+    # numpy and scipy each bring their own OpenBLAS and thread pool; one numpy
+    # product on Z leaves numpy's threads spinning against scipy's Cholesky
+    # factor, so every product in metric goes through scipy's dgemv
+    found = [f"metric.py:{line}: {form}" for line, form in _numpy_products((PACKAGE / "metric.py").read_text())]
+    assert not found, "numpy products: " + ", ".join(found)
+
+
 def test_startup_loads_only_scipy_lapack_wrappers():
     # every maglab process pays for its imports: metric loads scipy's compiled
     # LAPACK wrappers alone, not the scipy.linalg package and its array-API
-    # layer, and no exact ball N/D or its trace rows are built at import
-    banned = ("scipy.linalg", "scipy._lib._array_api", "scipy.spatial", "scipy.special")
+    # layer, nor its BLAS wrappers, which the first product on Z loads; and no
+    # exact ball N/D or its trace rows are built at import
+    banned = ("scipy.linalg", "scipy._lib._array_api", "scipy.linalg._fblas", "scipy.spatial", "scipy.special")
     lazy = ("_ball_trace_polys", "_exact_ball_rational")
     probe = (
         "import sys, maglab, maglab.cli; "

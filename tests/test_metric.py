@@ -173,6 +173,23 @@ def test_distances_match_scipy_bit_for_bit():
     assert np.array_equal(lattice.rows, cdist(coords[reps], coords))
 
 
+def test_products_on_z_match_numpy_bit_for_bit():
+    # every Z x goes through scipy's BLAS dgemv; numpy's @ is the reference
+    from maglab.cloud import DomainShape, sample_domain
+
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 50, 1000):
+        space = FiniteMetricSpace.from_coordinates(rng.standard_normal((n, 3)))
+        for scale in (0.3, 3.0):
+            z, x = similarity_matrix(space, scale), rng.standard_normal(n)
+            assert np.array_equal(metric._matvec(z, x), z @ x)
+    # the orbit residual: K x N representative rows of a shell lattice
+    lattice = sample_domain(DomainShape.shell(1, 2), 0.15)
+    assert lattice.rows.shape == (248, 8606)
+    z, w = np.exp(-2.0 * lattice.rows), weighting(lattice, 2.0).weights
+    assert np.array_equal(metric._matvec(z, w), z @ w)
+
+
 def test_lapack_calls_match_scipy_linalg():
     # maglab calls scipy's LAPACK wrappers directly; scipy.linalg itself is the reference
     import scipy.linalg as sla
