@@ -9,15 +9,16 @@ radial functions in odd dimensions.
 
 Coefficients and the rate may be Python complex numbers or mpmath values;
 all operations are arithmetic-generic, so high-precision pipelines work
-unchanged.
+unchanged.  This module never imports mpmath: the caller that builds the
+first mpmath number loads it, and double-precision arithmetic runs in
+processes that never do.
 """
 
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
-
-import mpmath as mp
 
 from .errors import ArgumentError
 
@@ -29,10 +30,21 @@ SERIES_THRESHOLD = 1e-2
 SERIES_TERMS = 48
 
 
+def _mpmath_of(*values):
+    """The mpmath module if any of ``values`` is an mpmath number, else None.
+
+    It reads ``sys.modules`` and imports nothing: no mpmath number exists
+    before mpmath is imported.
+    """
+    mp = sys.modules.get("mpmath")
+    if mp is not None and any(isinstance(v, (mp.mpf, mp.mpc)) for v in values):
+        return mp
+    return None
+
+
 def _exp(x):
-    if isinstance(x, (mp.mpf, mp.mpc)):
-        return mp.exp(x)
-    return cmath.exp(x)
+    mp = _mpmath_of(x)
+    return mp.exp(x) if mp else cmath.exp(x)
 
 
 def _factorial_like(t, x):
@@ -79,9 +91,8 @@ class ExpoPoly:
         scale = max((abs(c) for c in merged.values()), default=0)
         # drop round-off residue relative to the working precision: double
         # unless any coefficient or the rate is an mpmath value
-        if isinstance(rate, (mp.mpf, mp.mpc)) or any(
-            isinstance(c, (mp.mpf, mp.mpc)) for c in merged.values()
-        ):
+        mp = _mpmath_of(rate, *merged.values())
+        if mp:
             tol = mp.mpf(10) ** (-(mp.mp.dps + 15)) * scale
         else:
             tol = CANON_RTOL * scale
@@ -214,15 +225,6 @@ class ExpoPoly:
                 continue
             total = total + a * r**q
         return total
-
-    # -- debug dump --------------------------------------------------------
-
-    def dump(self):
-        """One term per line: 'coeff k s', sorted by (k, s)."""
-        lines = []
-        for (k, s) in sorted(self.terms):
-            lines.append(f"{self.terms[(k, s)]} {k} {s}")
-        return "\n".join(lines)
 
     def __repr__(self):
         body = " + ".join(

@@ -18,7 +18,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .cloud import DomainShape
@@ -344,6 +343,8 @@ def fit_leading_coefficients(Rs, values, n: int, terms: int = 10, *, dps: int = 
     -- in doubles the conditioning caps the recovered coefficients around
     four digits for n = 9.
     """
+    import mpmath as mp
+
     Rs = np.asarray(Rs, dtype=float)
     vals = np.asarray(values, dtype=float)
     if len(Rs) < terms:

@@ -27,8 +27,18 @@ spinning for a while, so on a 2-core machine they take a core from the
 2-thread Cholesky factor that follows (N = 1000 on a 2-vCPU VM: dpotrf
 takes 11 ms right after a scipy product, 19 ms right after a numpy
 ``z @ x``).  With all dense kernels of a weighting on scipy's build, one
-pool does all the work.  ``_fblas`` is loaded at the first product, so
-processes that never solve do not map it.
+pool does all the work.  Both wrappers are loaded at their first call, so a
+process that never solves does not map scipy's OpenBLAS at all.
+
+Temporaries that grow with the space are built in blocks of about
+BLOCK_BYTES each: the distance rows built from coordinates, the rows of Z
+of the orbit path, and the slack of the triangle-inequality check (a slack
+block is at least one n x n slice of an n-point matrix).  So the
+dense path of an N-point space holds the N x N distances, Z and its
+Cholesky factor (about 24 N^2 bytes) and nothing else of that size; the
+orbit path holds the K x N distance rows of the space, the K x K reduced
+matrix and its factor, and two blocks: no K x N similarity rows and no
+K x N index ever exist.
 """
 
 from __future__ import annotations
@@ -49,10 +59,9 @@ METRIC_TOL = 1e-12
 RESIDUAL_RTOL = 1e-10
 #: 1-norm condition-number estimate above which a solve is declared singular
 CONDITION_LIMIT = 1e12
-#: bytes of each temporary in the blocked triangle-inequality check
-TRIANGLE_BLOCK_BYTES = 32 * 2**20
-#: bytes of each block of distance rows built at once from coordinates
-DISTANCE_BLOCK_BYTES = 2**19
+#: bytes of each block of a temporary that grows with the space: distance
+#: rows, orbit-path rows of Z and triangle-inequality slack
+BLOCK_BYTES = 2**19
 
 
 def _load_linalg_extension(name):
@@ -76,9 +85,6 @@ def _load_linalg_extension(name):
                 sys.modules[qualified] = module
                 return module
     raise ImportError(f"maglab needs scipy's compiled wrappers {qualified}, which were not found", name=qualified)
-
-
-_lapack = _load_linalg_extension("_flapack")
 
 
 def _matvec(z, x):
@@ -139,11 +145,15 @@ class FiniteMetricSpace:
                 raise ArgumentError("duplicate or negatively separated points (nonpositive off-diagonal)")
             if n >= 3:
                 # d(i,k) <= d(i,j) + d(j,k) for all j; vectorized over j and k,
-                # blocked over i so each temporary stays near TRIANGLE_BLOCK_BYTES
-                block = max(1, TRIANGLE_BLOCK_BYTES // (8 * n * n))
+                # blocked over i in one buffer of about BLOCK_BYTES, at least one
+                # n x n slice
+                block = max(1, BLOCK_BYTES // (8 * n * n))
+                buffer = np.empty((min(block, n), n, n))
                 for i in range(0, n, block):
                     rows = dist[i : i + block]
-                    slack = rows[:, None, :] - (rows[:, :, None] + dist[None, :, :])
+                    slack = buffer[: len(rows)]
+                    np.add(rows[:, :, None], dist[None, :, :], out=slack)
+                    np.subtract(rows[:, None, :], slack, out=slack)
                     if slack.max() > METRIC_TOL:
                         raise ArgumentError("triangle inequality violated beyond tolerance")
         for array in (dist, _orbits, _rows):
@@ -209,12 +219,12 @@ def _distances(a, b):
     in coordinate order, then the square root, so the M x N result is
     bit-identical to it (and, for ``a is b``, to ``squareform(pdist(a))``).
     Rows are built in blocks whose difference temporary stays near
-    DISTANCE_BLOCK_BYTES.
+    BLOCK_BYTES.
     """
     shape = (len(a), len(b))
     out = np.empty(shape) if b.shape[1] else np.zeros(shape)  # no coordinates: all points coincide
     sources, columns = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    block = max(1, DISTANCE_BLOCK_BYTES // (8 * len(b)))
+    block = max(1, BLOCK_BYTES // (8 * len(b)))
     diff = np.empty((min(block, len(a)), len(b)))
     for i in range(0, len(a), block):
         rows = out[i : i + block]
@@ -265,28 +275,29 @@ def _solve_similarity(z, rhs):
     keeps the residual at the round-off floor.  The caller judges the
     condition number.
     """
+    lapack = _load_linalg_extension("_flapack")
     # upper factor, lower triangle left as it was: scipy's cho_factor
-    factor, info = _lapack.dpotrf(z, lower=0, clean=0)
+    factor, info = lapack.dpotrf(z, lower=0, clean=0)
     _lapack_info("dpotrf", info)
     if info == 0:
         # Z's entries are exponentials, so its 1-norm is its largest column sum
-        rcond, info = _lapack.dpocon(factor, z.sum(axis=0).max(), uplo="U")
+        rcond, info = lapack.dpocon(factor, z.sum(axis=0).max(), uplo="U")
         _lapack_info("dpocon", info)
         cond = 1.0 / rcond if rcond > 0 else np.inf
 
         def solve(b):
-            x, info = _lapack.dpotrs(factor, b, lower=0)
+            x, info = lapack.dpotrs(factor, b, lower=0)
             _lapack_info("dpotrs", info)
             return x
 
     else:  # a leading minor is not positive definite
         # a positive info is an exact zero pivot: cond is then inf, which the caller rejects
-        lu, piv, info = _lapack.dgetrf(z)
+        lu, piv, info = lapack.dgetrf(z)
         _lapack_info("dgetrf", info)
         cond = np.linalg.cond(z, 1)
 
         def solve(b):
-            x, info = _lapack.dgetrs(lu, piv, b)
+            x, info = lapack.dgetrs(lu, piv, b)
             _lapack_info("dgetrs", info)
             return x
 
@@ -295,17 +306,37 @@ def _solve_similarity(z, rhs):
     return x, cond
 
 
+def _orbit_similarity_rows(rows, scale, block):
+    """Yield (i, exp(-scale * rows[i : i + block])) for i = 0, block, 2 block, ...
+
+    Every block is computed into the same buffer, so each is valid only until
+    the next one is drawn.
+    """
+    buffer = np.empty((min(block, len(rows)), rows.shape[1]))
+    for i in range(0, len(rows), block):
+        chunk = rows[i : i + block]
+        z = buffer[: len(chunk)]
+        np.multiply(chunk, -scale, out=z)
+        np.exp(z, out=z)
+        yield i, z
+
+
 def weighting(space: FiniteMetricSpace, scale) -> Weighting:
     """Solve Z w = 1 and record the max-norm residual.
 
     A space with ``orbits`` is solved on the orbits: w = P v with P the N x K
     point-to-orbit indicator, and Pᵀ Z P v = Pᵀ 1 = |O|.  Only the K rows of Z
-    at one representative per orbit are formed, from the space's ``rows``;
-    within an orbit the rows of Z P agree, so Pᵀ Z P = diag(|O|) Z[reps] P.
-    The system is solved in the orthonormal scaling Qᵀ Z Q u = sqrt|O|,
+    at one representative per orbit enter, from the space's ``rows``; within
+    an orbit the rows of Z P agree, so Pᵀ Z P = diag(|O|) Z[reps] P.  Z[reps] P
+    is summed from blocks of about BLOCK_BYTES of those rows, one ``bincount``
+    a block, so neither the K x N rows of Z nor a K x N index is ever formed;
+    each entry is summed in the same order as from the whole rows.  The
+    system is solved in the orthonormal scaling Qᵀ Z Q u = sqrt|O|,
     Q = P diag(|O|)^(-1/2): its eigenvalues lie between Z's extreme ones, so
     its condition number is at most Z's and the same guard applies.  The
-    residual is that of the representative rows.
+    residual is that of the representative rows of Z, recomputed block by
+    block against the rows themselves, so an error in forming Pᵀ Z P shows in
+    it.
 
     Raises SolveError, carrying the scale, condition number and residual,
     when the condition number exceeds CONDITION_LIMIT or the residual its
@@ -314,20 +345,29 @@ def weighting(space: FiniteMetricSpace, scale) -> Weighting:
     if space.orbits is None:
         z = similarity_matrix(space, scale)
         w, cond = _solve_similarity(z, np.ones(len(space)))
+        blocks = (z,)
     else:
         _check_scale(scale)
         orbits = space.orbits
         sizes = np.bincount(orbits)
         k = len(sizes)
-        z = np.exp(-scale * space.rows)
-        # zp[i, j] = sum of Z over representative row i and the points of orbit j
-        cells = orbits + k * np.arange(k)[:, None]
-        zp = np.bincount(cells.ravel(), weights=z.ravel(), minlength=k * k).reshape(k, k)
+        block = max(1, BLOCK_BYTES // (8 * len(orbits)))
+        # s[i, j] = sum of Z over representative row i and the points of orbit j:
+        # the bincount cells of a block's row r are offset by r k
+        cells = (orbits + k * np.arange(min(block, k))[:, None]).ravel()
+        s = np.empty((k, k))
+        for i, z in _orbit_similarity_rows(space.rows, scale, block):
+            s[i : i + len(z)] = np.bincount(cells[: z.size], weights=z.ravel(), minlength=len(z) * k).reshape(-1, k)
+        del cells
         root = np.sqrt(sizes)
-        s = root[:, None] * zp / root
-        v, cond = _solve_similarity((s + s.T) / 2, root)
+        s *= root[:, None]
+        s /= root
+        s = s + s.T
+        s /= 2
+        v, cond = _solve_similarity(s, root)
         w = (v / root)[orbits]
-    residual = float(np.abs(_matvec(z, w) - 1.0).max())
+        blocks = (z for _, z in _orbit_similarity_rows(space.rows, scale, block))
+    residual = float(np.max([np.abs(_matvec(z, w) - 1.0).max() for z in blocks]))
     if not cond <= CONDITION_LIMIT:
         message = f"similarity matrix numerically singular (cond ~ {cond:.3e})"
     elif residual > RESIDUAL_RTOL * max(1, len(space)):
@@ -350,16 +390,17 @@ def is_positive_definite(space: FiniteMetricSpace, scale):
     of the (small, dense) matrix.
     """
     z = similarity_matrix(space, scale)
+    lapack = _load_linalg_extension("_flapack")
     # scipy's eigvalsh(z, subset_by_index=[0, 0]): dsyevr on the lower triangle
-    lwork, liwork, info = _lapack.dsyevr_lwork(len(z), lower=1)
+    lwork, liwork, info = lapack.dsyevr_lwork(len(z), lower=1)
     _lapack_info("dsyevr_lwork", info)
-    w, *_, info = _lapack.dsyevr(
+    w, *_, info = lapack.dsyevr(
         z, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=int(lwork), liwork=int(liwork)
     )
     _lapack_info("dsyevr", info)
     if info > 0:
         raise SolveError(f"symmetric eigensolve failed to converge (LAPACK dsyevr info {info})", scale=float(scale))
-    _, info = _lapack.dpotrf(z, lower=0, clean=0)
+    _, info = lapack.dpotrf(z, lower=0, clean=0)
     _lapack_info("dpotrf", info)
     return info == 0, float(w[0])
 

@@ -9,7 +9,9 @@ resonances of the trace system, is computed in closed form.
 
 The trace solve is generic over Python complex / mpmath; shells use it in
 doubles, balls only in mpmath (``ball_magnitude(..., dps=...)``), where it is
-the independent reference.  In doubles a ball magnitude is its exact rational
+the independent reference.  mpmath is imported by the first call that needs
+it, a ``dps=`` solve or a root extraction, so double-precision ball and
+shell values never load it.  In doubles a ball magnitude is its exact rational
 form N/D evaluated by Horner's rule under an error bound: a value either
 meets the bound or is computed from the exact N/D.  N and D come from one
 fraction-free elimination of the trace system over integer polynomials in R.
@@ -24,11 +26,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 
-import mpmath as mp
 import numpy as np
 
 from .errors import ArgumentError, ReconstructionError, ResonanceError
-from .expopoly import ExpoPoly, RadialOperatorSpec, decaying_basis, regular_basis_3d
+from .expopoly import ExpoPoly, RadialOperatorSpec, _mpmath_of, decaying_basis, regular_basis_3d
 
 #: trace-matrix condition estimate above which R is flagged as a resonance
 RESONANCE_CONDITION_LIMIT = 1e12
@@ -81,7 +82,8 @@ def trace_value(u: ExpoPoly, j: int, spec: RadialOperatorSpec, rho, side=EXTERIO
 
 def _solve_linear(rows, data):
     """Solve a small dense system in whatever scalar type the entries carry."""
-    if any(isinstance(v, (mp.mpf, mp.mpc)) for row in rows for v in row):
+    mp = _mpmath_of(*(v for row in rows for v in row))
+    if mp:
         A = mp.matrix(rows)
         b = mp.matrix(data)
         x = mp.lu_solve(A, b)
@@ -117,7 +119,8 @@ def _solve_traces(spec, rho, data, basis, side):
     cond = _condition_estimate(rows)
     # in mpmath arithmetic the solve stays accurate well past the double limit
     limit = RESONANCE_CONDITION_LIMIT
-    if isinstance(spec.rate, (mp.mpf, mp.mpc)):
+    mp = _mpmath_of(spec.rate)
+    if mp:
         limit = max(limit, 10.0 ** (mp.mp.dps - 6))
     if not np.isfinite(cond) or cond > limit:
         raise ResonanceError(
@@ -176,6 +179,8 @@ def exterior_trace_determinant(n: int, R, *, rho=1.0, dps=None):
     """
     spec_cls = RadialOperatorSpec
     if dps is not None:
+        import mpmath as mp
+
         with mp.workdps(dps):
             spec = spec_cls(n, mp.mpc(R))
             rows = _stripped_trace_rows(spec, rho)
@@ -233,6 +238,8 @@ def ball_magnitude(n: int, R, *, dps=None):
     if n == 1:
         return R + 1
     if dps is not None:
+        import mpmath as mp
+
         with mp.workdps(dps):
             val = _ball_magnitude_at(n, mp.mpc(R))
             return complex(val)
@@ -329,6 +336,8 @@ def shell_magnitude(a: float, b: float, R, *, dps=None):
     if R == 0:
         raise ArgumentError("R must be nonzero (the limit at 0 is 1)")
     if dps is not None:
+        import mpmath as mp
+
         with mp.workdps(dps):
             return complex(_shell_magnitude_at(a, b, mp.mpc(R)))
     return _shell_magnitude_at(a, b, complex(R))
@@ -361,11 +370,13 @@ def paper_shell_closed_form(R):
 
 
 def _cexp(z):
-    return mp.exp(z) if isinstance(z, (mp.mpf, mp.mpc)) else np.exp(z)
+    mp = _mpmath_of(z)
+    return mp.exp(z) if mp else np.exp(z)
 
 
 def _csinh(z):
-    return mp.sinh(z) if isinstance(z, (mp.mpf, mp.mpc)) else np.sinh(z)
+    mp = _mpmath_of(z)
+    return mp.sinh(z) if mp else np.sinh(z)
 
 
 def shell_deviation_report(Rs, a=1.0, b=2.0):
@@ -655,6 +666,8 @@ def _verified_polyroots(coeffs, max_attempts=4):
     doubled precision.  The starting precision grows with the coefficients'
     size.
     """
+    import mpmath as mp
+
     deg = len(coeffs) - 1
     if deg <= 0:
         return []

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .errors import ArgumentError, DiagnosticError, PrecisionError
@@ -144,6 +143,8 @@ def _backward_errors(coeffs, points) -> list:
     sum |P_k| |z|^k are rounded, in mpmath at BACKWARD_ERROR_DPS digits, so
     even errors far below 1e-16 keep their leading digits.
     """
+    import mpmath as mp
+
     deg = len(coeffs) - 1
     errors = []
     with mp.workdps(BACKWARD_ERROR_DPS):

@@ -120,18 +120,47 @@ def test_metric_has_no_numpy_products():
     assert not found, "numpy products: " + ", ".join(found)
 
 
-def test_startup_loads_only_scipy_lapack_wrappers():
-    # every maglab process pays for its imports: metric loads scipy's compiled
-    # LAPACK wrappers alone, not the scipy.linalg package and its array-API
-    # layer, nor its BLAS wrappers, which the first product on Z loads; and no
+def _probe(code):
+    """Stdout of ``code`` run in a fresh interpreter that imports maglab from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    return result.stdout.strip()
+
+
+def test_startup_loads_no_mpmath_and_no_scipy():
+    # every maglab process pays for its imports: scipy's LAPACK and BLAS
+    # wrappers load at the first solve and mpmath at the first high-precision
+    # call, never the scipy.linalg package and its array-API layer; and no
     # exact ball N/D or its trace rows are built at import
-    banned = ("scipy.linalg", "scipy._lib._array_api", "scipy.linalg._fblas", "scipy.spatial", "scipy.special")
+    banned = (
+        "mpmath",
+        "scipy.linalg",
+        "scipy._lib._array_api",
+        "scipy.linalg._flapack",
+        "scipy.linalg._fblas",
+        "scipy.spatial",
+        "scipy.special",
+    )
     lazy = ("_ball_trace_polys", "_exact_ball_rational")
     probe = (
         "import sys, maglab, maglab.cli; "
-        f"print(sorted(m for m in {banned!r} if m in sys.modules), 'scipy.linalg._flapack' in sys.modules, "
+        f"print(sorted(m for m in {banned!r} if m in sys.modules), "
         f"[getattr(maglab.radial, f).cache_info().currsize for f in {lazy!r}])"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert result.stdout.strip() == "[] True [0, 0]"
+    assert _probe(probe) == "[] [0, 0]"
+
+
+def test_double_precision_paths_load_no_mpmath_and_census_no_lapack():
+    # ball and shell values in doubles and an orbit weighting never build an
+    # mpmath number; the census never solves with Z
+    doubles = (
+        "import sys; from maglab import DomainShape, ball_magnitude, sample_domain, shell_magnitude, weighting; "
+        "ball_magnitude(9, 2.0); shell_magnitude(1.0, 2.0, 1.0); weighting(sample_domain(DomainShape.shell(1, 2), 0.6), 1.0); "
+        "print('mpmath' in sys.modules, 'scipy.linalg._flapack' in sys.modules)"
+    )
+    assert _probe(doubles) == "False True"
+    census = (
+        "import sys; from maglab import ball_pole_zero_census; ball_pole_zero_census(5); "
+        "print('mpmath' in sys.modules, 'scipy.linalg._flapack' in sys.modules)"
+    )
+    assert _probe(census) == "True False"

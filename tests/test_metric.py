@@ -6,9 +6,8 @@ import pytest
 from maglab import metric
 from maglab.errors import ArgumentError, SolveError
 from maglab.metric import (
+    BLOCK_BYTES,
     CONDITION_LIMIT,
-    DISTANCE_BLOCK_BYTES,
-    TRIANGLE_BLOCK_BYTES,
     FiniteMetricSpace,
     is_positive_definite,
     load_point_file,
@@ -108,7 +107,7 @@ def test_validation_rejects_bad_matrices():
         )
     # the triangle check runs in row blocks; put the one violation past the first
     n = 200
-    block = max(1, TRIANGLE_BLOCK_BYTES // (8 * n * n))
+    block = max(1, BLOCK_BYTES // (8 * n * n))
     assert block < n - 2
     dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
     dist[n - 1, n - 3] = dist[n - 3, n - 1] = 10.0  # > d(n-1, n-2) + d(n-2, n-3)
@@ -155,7 +154,7 @@ def test_distances_match_scipy_bit_for_bit():
 
     rng = np.random.default_rng(11)
     # 700 x 300 and 300 x 700 both span several row blocks
-    assert 300 > 2 * DISTANCE_BLOCK_BYTES // (8 * 700) and 700 > 2 * DISTANCE_BLOCK_BYTES // (8 * 300)
+    assert 300 > 2 * BLOCK_BYTES // (8 * 700) and 700 > 2 * BLOCK_BYTES // (8 * 300)
     for dim in range(1, 8):
         # coordinates over ten decades, so rounding differs between summation orders
         cloud = rng.standard_normal((1000, dim)) * 10.0 ** rng.uniform(-5, 5, (1000, dim))
@@ -225,6 +224,73 @@ def test_lapack_calls_match_scipy_linalg():
         assert is_positive_definite(k33, scale) == (False, sla.eigvalsh(z, subset_by_index=[0, 0])[0])
     # an exact zero pivot leaves the condition number infinite, which weighting rejects
     assert metric._solve_similarity(np.ones((2, 2)), np.ones(2))[1] == np.inf
+
+
+def _whole_rows_orbit_weighting(space, scale):
+    """(weights, residual) of the orbit solve from the whole K x N rows of Z at once."""
+    orbits = space.orbits
+    sizes = np.bincount(orbits)
+    k = len(sizes)
+    z = np.exp(-scale * space.rows)
+    cells = orbits + k * np.arange(k)[:, None]
+    zp = np.bincount(cells.ravel(), weights=z.ravel(), minlength=k * k).reshape(k, k)
+    root = np.sqrt(sizes)
+    s = root[:, None] * zp / root
+    v, _ = metric._solve_similarity((s + s.T) / 2, root)
+    w = (v / root)[orbits]
+    return w, float(np.abs(metric._matvec(z, w) - 1.0).max())
+
+
+@pytest.mark.parametrize("rows_a_block", [None, 3])
+def test_blocked_orbit_weighting_matches_whole_rows(monkeypatch, rows_a_block):
+    # Pᵀ Z P is summed from blocks of representative rows: the weights are
+    # bit-identical to the sum over the whole rows, and the residual, taken
+    # block by block, agrees with the whole-rows one to rounding
+    from maglab.cloud import DomainShape, sample_domain
+
+    for shape in (DomainShape.shell(1, 2), DomainShape.ball(3, 1.0), DomainShape.box(1.0, 1.0, 1.0)):
+        space = sample_domain(shape, 0.15)
+        if rows_a_block:  # small blocks, the last one partial
+            monkeypatch.setattr(metric, "BLOCK_BYTES", 8 * len(space) * rows_a_block)
+            assert len(space.rows) % rows_a_block
+        else:  # at the default size only the shell's 248 rows span several blocks
+            assert (len(space.rows) > BLOCK_BYTES // (8 * len(space))) == (shape.kind == "shell")
+        for scale in (0.5, 1.0, 2.0):
+            w = weighting(space, scale)
+            weights, residual = _whole_rows_orbit_weighting(space, scale)
+            assert np.array_equal(w.weights, weights)
+            assert w.residual == pytest.approx(residual, abs=8 * np.finfo(float).eps)
+
+
+def test_orbit_weighting_holds_no_k_by_n_temporary():
+    # the h = 0.15 shell lattice: K x N = 248 x 8606, 17 MB a temporary
+    import tracemalloc
+
+    from maglab.cloud import DomainShape, sample_domain
+
+    space = sample_domain(DomainShape.shell(1, 2), 0.15)
+    weighting(space, 1.0)  # scipy's wrappers load outside the traced call
+    tracemalloc.start()
+    try:
+        weighting(space, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.rows.nbytes > 17e6 and peak < 4e6
+
+
+def test_triangle_check_holds_one_block():
+    # a 300-point matrix: one slack row is 300 x 300 doubles, 0.72 MB
+    import tracemalloc
+
+    dist = np.abs(np.subtract.outer(np.arange(300.0), np.arange(300.0)))
+    tracemalloc.start()
+    try:
+        FiniteMetricSpace(list(range(300)), dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_spaces_are_frozen_and_own_their_matrix():
